@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/macros.h"
 
@@ -82,9 +81,10 @@ void ThreadPool::ParallelForRanges(
   }
   const int64_t chunk_size = (count + chunks - 1) / chunks;
 
-  // release on the final decrement / acquire on the waiter's observation:
-  // every chunk's writes happen-before ParallelForRanges returns.
-  std::atomic<int64_t> remaining{chunks};
+  // The count is decremented and notified under done_mutex, so the waiter
+  // can only see 0 once the last worker has released the lock: the worker
+  // never touches done_mutex or done_cv after this frame may unwind.
+  int64_t remaining = chunks;
   Mutex done_mutex;
   CondVar done_cv;
 
@@ -95,16 +95,12 @@ void ThreadPool::ParallelForRanges(
     // has run, so the captured frame outlives all submitted tasks
     Submit([&, begin, end] {
       fn(begin, end);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      MutexLock lock(done_mutex);
+      if (--remaining == 0) done_cv.NotifyOne();
     });
   }
   MutexLock lock(done_mutex);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.Wait(done_mutex);
-  }
+  while (remaining != 0) done_cv.Wait(done_mutex);
 }
 
 // hotpath-ok: process-lifetime singleton, allocates on first call only

@@ -17,9 +17,6 @@ int64_t CloudArtifact::TransferBytes() const {
          scaler.mean().numel() * 2 * static_cast<int64_t>(sizeof(float));
 }
 
-// hotpath-ok: the cloud pre-training driver is cold by definition; it
-// shares the bare name `Run` with the hot exec::Executor::Run, which the
-// name-keyed call graph cannot tell apart.
 Result<CloudPretrainResult> CloudPretrainer::Run(const data::Dataset& d_old) {
   if (d_old.empty()) {
     return Status::InvalidArgument("pre-training corpus is empty");

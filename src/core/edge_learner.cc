@@ -9,6 +9,7 @@
 #include "core/embedding.h"
 #include "data/splits.h"
 #include "eval/metrics.h"
+#include "exec/executor.h"
 #include "exec/plan_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -84,40 +85,32 @@ Tensor EdgeLearner::EmbedRaw(const Tensor& raw_features) const {
   return EmbedBatched(*model_, scaler_.Transform(raw_features));
 }
 
-bool EdgeLearner::TryPredictCompiled(const Tensor& raw_features,
-                                     std::vector<int>* labels) const {
-  exec::Executor* executor = plan_executor_.get();
-  if (executor == nullptr) return false;
-  // Invariant guard, not a synchronization point: the plan is recaptured
-  // inside every mutation, so a live plan always matches model_version().
-  if (plan_version_.load(std::memory_order_acquire) != model_version()) {
-    return false;
+std::vector<int> EdgeLearner::PredictLabels(
+    const Tensor& raw_features) const {
+  if (plan_ == nullptr) {
+    PILOTE_METRIC_COUNT("exec/fallback_windows", raw_features.rows());
+    return classifier_.Predict(EmbedRaw(raw_features));
   }
-  if (!executor->TryRunClassify(raw_features, labels)) return false;
+  // The plan is recaptured inside every mutation, so a live plan always
+  // matches model_version().
+  PILOTE_DCHECK(plan_->version() == model_version());
+  // hotpath-ok: the per-call output labels
+  std::vector<int> labels;
+  exec::ReplayClassify(*plan_, raw_features, &labels);
   PILOTE_METRIC_COUNT("core/ncm_predictions", raw_features.rows());
   PILOTE_METRIC_COUNT("exec/plan_windows", raw_features.rows());
-  return true;
+  return labels;
 }
 
 std::vector<int> EdgeLearner::Predict(const Tensor& raw_features) const {
   PILOTE_TRACE_SPAN("core/predict");
-  if (!obs::Enabled()) {
-    // hotpath-ok: the per-call output labels
-    std::vector<int> labels;
-    if (TryPredictCompiled(raw_features, &labels)) return labels;
-    PILOTE_METRIC_COUNT("exec/fallback_windows", raw_features.rows());
-    return classifier_.Predict(EmbedRaw(raw_features));
-  }
+  if (!obs::Enabled()) return PredictLabels(raw_features);
   // A batched Predict amortizes the embedding pass over all rows; record the
   // amortized per-window latency so the histogram stays comparable with the
   // row-at-a-time streaming path.
   WallTimer timer;
   // hotpath-ok: the per-call output labels
-  std::vector<int> labels;
-  if (!TryPredictCompiled(raw_features, &labels)) {
-    PILOTE_METRIC_COUNT("exec/fallback_windows", raw_features.rows());
-    labels = classifier_.Predict(EmbedRaw(raw_features));
-  }
+  std::vector<int> labels = PredictLabels(raw_features);
   const int64_t rows = std::max<int64_t>(1, raw_features.rows());
   const double per_window_ms = timer.ElapsedSeconds() * 1e3 /
                                static_cast<double>(rows);
@@ -129,17 +122,7 @@ std::vector<int> EdgeLearner::Predict(const Tensor& raw_features) const {
 
 std::vector<int> EdgeLearner::PredictBatch(const Tensor& raw_features) const {
   PILOTE_TRACE_SPAN("core/predict_batch");
-  // hotpath-ok: the per-call output labels
-  std::vector<int> labels;
-  if (TryPredictCompiled(raw_features, &labels)) return labels;
-  PILOTE_METRIC_COUNT("exec/fallback_windows", raw_features.rows());
-  return classifier_.Predict(EmbedRaw(raw_features));
-}
-
-std::vector<int> EdgeLearner::PredictBatchEager(
-    const Tensor& raw_features) const {
-  PILOTE_TRACE_SPAN("core/predict_batch_eager");
-  return classifier_.Predict(EmbedRaw(raw_features));
+  return PredictLabels(raw_features);
 }
 
 double EdgeLearner::Evaluate(const data::Dataset& raw_test) const {
@@ -183,9 +166,7 @@ void EdgeLearner::RebuildInferencePlan() {
   // Drop the old plan first: after a mutation it describes stale weights
   // and prototypes, so "no plan" (eager fallback) is the only safe state
   // until the new capture commits.
-  plan_executor_.reset();
   plan_.reset();
-  plan_version_.store(-1, std::memory_order_release);
   if (!compiled_inference_enabled_) return;
   if (classifier_.NumClasses() == 0) return;
 
@@ -216,8 +197,6 @@ void EdgeLearner::RebuildInferencePlan() {
     return;
   }
   plan_ = std::move(plan).value();
-  plan_executor_ = std::make_unique<exec::Executor>(plan_);
-  plan_version_.store(plan_->version(), std::memory_order_release);
   PILOTE_METRIC_COUNT("exec/plan_rebuilds", 1);
 }
 

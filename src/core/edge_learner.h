@@ -14,7 +14,7 @@
 #include "core/ncm_classifier.h"
 #include "core/support_set.h"
 #include "data/dataset.h"
-#include "exec/executor.h"
+#include "exec/plan.h"
 
 namespace pilote {
 namespace core {
@@ -30,17 +30,17 @@ namespace core {
 // call concurrently with other const members; every mutation goes through
 // a named non-const operation (LearnNewClasses, ApplySupportSetUpdate,
 // EnforceSupportBudget, AdaptPrototype, RebuildPrototypes) that requires
-// exclusive access.
-// (The compiled-plan executor's scratch arena is the one piece of state a
-// const Predict touches; its lock-free single-claimant gate keeps
-// concurrent const calls safe — a loser of the claim race falls back to
-// the eager path, which is pure.)
+// exclusive access. A const Predict writes only its own output and the
+// calling thread's replay arena (exec/executor.h), so concurrent
+// predictions all run the compiled plan.
 //
 // Inference runs through a compiled plan (exec::InferencePlan) captured
 // from the scaler + backbone + NCM tail after every completed mutation;
 // the plan is version-tagged with model_version() and rebuilt
 // transactionally (swap-on-commit: a failed capture leaves no plan and
-// predictions fall back to the eager tape, never to a stale plan).
+// predictions run the eager tape, never a stale plan). The eager tape
+// runs only while no plan is live: after a failed capture, or after
+// SetCompiledInferenceEnabled(false).
 class EdgeLearner {
  public:
   EdgeLearner(const CloudArtifact& artifact, const PiloteConfig& config);
@@ -77,11 +77,6 @@ class EdgeLearner {
   // pass, one backbone forward (a single GEMM chain for all K rows) and
   // one NCM pass.
   PILOTE_HOT_PATH std::vector<int> PredictBatch(const Tensor& raw_features) const;
-  // PredictBatch pinned to the eager tape (scaler pass + autograd forward +
-  // cached NCM pass), bypassing the compiled plan. Labels are bit-identical
-  // to PredictBatch; exposed so profiling and tests can compare the two
-  // executions side by side.
-  std::vector<int> PredictBatchEager(const Tensor& raw_features) const;
   // Accuracy on a raw-feature test set.
   double Evaluate(const data::Dataset& raw_test) const;
 
@@ -108,11 +103,9 @@ class EdgeLearner {
   // Version the live compiled plan was captured at, or -1 when inference
   // is running eagerly (capture disabled, unsupported metric, or no
   // classes yet). Equals model_version() whenever a plan is live.
-  int64_t plan_version() const {
-    return plan_version_.load(std::memory_order_acquire);
-  }
+  int64_t plan_version() const { return plan_ ? plan_->version() : -1; }
   // The live compiled plan, or nullptr when predictions run eagerly.
-  // Shared so tests and profilers can replay it on their own executor.
+  // Shared so tests and profilers can replay it directly.
   std::shared_ptr<const exec::InferencePlan> inference_plan() const {
     return plan_;
   }
@@ -189,15 +182,14 @@ class EdgeLearner {
   // classifier. Called at the end of every completed mutation; any capture
   // failure leaves plan_ null (eager fallback) rather than a stale plan.
   void RebuildInferencePlan();
-  // Runs the compiled plan if one is live and the arena claim succeeds.
-  PILOTE_HOT_PATH bool TryPredictCompiled(const Tensor& raw_features,
-                                          std::vector<int>* labels) const;
+  // Labels for raw feature rows: the compiled plan when one is live, the
+  // eager tape otherwise. Predict and PredictBatch both run through here.
+  PILOTE_HOT_PATH std::vector<int> PredictLabels(
+      const Tensor& raw_features) const;
 
   std::atomic<int64_t> model_version_{0};
   bool compiled_inference_enabled_ = true;
   std::shared_ptr<const exec::InferencePlan> plan_;
-  std::unique_ptr<exec::Executor> plan_executor_;
-  std::atomic<int64_t> plan_version_{-1};
 };
 
 // Baseline 1 (Sec 6.1.3): the pre-trained model is used as-is; new classes

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "common/alloc_tracker.h"
@@ -105,10 +104,13 @@ EdgeProfileReport ProfileEdge(const EdgeLearner& learner,
   }
   using MilliDouble = std::chrono::duration<double, std::milli>;
   {
-    learner.PredictBatchEager(rows.front());  // warm-up
+    const auto eager_predict = [&learner](const Tensor& row) {
+      return learner.classifier().Predict(learner.EmbedRaw(row));
+    };
+    eager_predict(rows.front());  // warm-up
     alloc::AllocationScope eager_scope;
     const auto start = std::chrono::steady_clock::now();
-    for (const Tensor& row : rows) learner.PredictBatchEager(row);
+    for (const Tensor& row : rows) eager_predict(row);
     const auto end = std::chrono::steady_clock::now();
     report.exec_eager_ms_per_window =
         MilliDouble(end - start).count() / static_cast<double>(n_rows);
@@ -119,12 +121,12 @@ EdgeProfileReport ProfileEdge(const EdgeLearner& learner,
   std::shared_ptr<const exec::InferencePlan> plan = learner.inference_plan();
   if (plan != nullptr) {
     report.exec_plan_live = true;
-    exec::Executor executor(std::move(plan));
     std::vector<int> labels;
-    executor.RunClassify(rows.front(), &labels);  // warm-up: arena, labels
+    // warm-up: this thread's replay arena and the label buffer
+    exec::ReplayClassify(*plan, rows.front(), &labels);
     alloc::AllocationScope plan_scope;
     const auto start = std::chrono::steady_clock::now();
-    for (const Tensor& row : rows) executor.RunClassify(row, &labels);
+    for (const Tensor& row : rows) exec::ReplayClassify(*plan, row, &labels);
     const auto end = std::chrono::steady_clock::now();
     report.exec_plan_ms_per_window =
         MilliDouble(end - start).count() / static_cast<double>(n_rows);

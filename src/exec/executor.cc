@@ -1,11 +1,12 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
-#include <utility>
 
 #include "common/macros.h"
 #include "common/numerics_guard.h"
+#include "common/span.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -13,26 +14,9 @@ namespace pilote {
 namespace exec {
 namespace {
 
-// Reusable scoped claim of the executor arena: lock-free test-and-set so
-// the replay path never takes a mutex.
-class ArenaClaim {
- public:
-  explicit ArenaClaim(std::atomic<bool>& busy) : busy_(busy) {
-    claimed_ = !busy_.exchange(true, std::memory_order_acquire);
-  }
-  ~ArenaClaim() {
-    if (claimed_) busy_.store(false, std::memory_order_release);
-  }
-
-  ArenaClaim(const ArenaClaim&) = delete;
-  ArenaClaim& operator=(const ArenaClaim&) = delete;
-
-  bool claimed() const { return claimed_; }
-
- private:
-  std::atomic<bool>& busy_;
-  bool claimed_ = false;
-};
+// Replay arena of the calling thread (see executor.h). It grows only past
+// the largest replay this thread has run and is never shrunk.
+thread_local std::vector<float> t_arena;
 
 // The numerics-guard insertion point of the replay path: mirrors the
 // per-op PILOTE_CHECK_NUMERICS of the eager kernels, over the arena slice
@@ -78,56 +62,61 @@ PILOTE_HOT_PATH void ApplyMicroPass(const MicroStep& micro, const float* pa,
   }
 }
 
-}  // namespace
-
-Executor::Executor(std::shared_ptr<const InferencePlan> plan)
-    : plan_(std::move(plan)) {
-  PILOTE_CHECK(plan_ != nullptr);
-}
-
-Span<float> Executor::SliceAt(int32_t value, int64_t n) {
+// Arena slice of a planned value for a batch of n rows, as a sized span:
+// pointer+size in release, bounds-checked kernel-side writes in debug.
+// Slices are re-derived per use — never stored across an arena resize.
+PILOTE_HOT_PATH Span<float> SliceAt(const InferencePlan& plan, float* arena,
+                                    int32_t value, int64_t n) {
   PILOTE_DCHECK(value > 0);
   // Per-row offsets scale by the batch size; disjoint per-row slices stay
   // disjoint after scaling (see exec/memory_planner.h).
-  const ArenaSlice& s = plan_->slice(value);
-  return Span<float>(arena_.data() + s.offset * n,
-                     static_cast<size_t>(s.size * n));
+  const ArenaSlice& s = plan.slice(value);
+  return Span<float>(arena + s.offset * n, static_cast<size_t>(s.size * n));
 }
 
-ConstSpan<float> Executor::ReadAt(const Tensor& in, int32_t value,
-                                  int64_t n) {
-  if (value == 0) return in.span();
-  return SliceAt(value, n);
-}
-
-void Executor::ReplaySteps(const Tensor& in, int64_t n, int32_t last_step,
-                           std::vector<int>* labels) {
-  if (n > rows_high_water_) {
-    rows_high_water_ = n;
-    // hotpath-ok: arena growth past the batch-size high-water mark only
-    arena_.resize(static_cast<size_t>(plan_->arena_per_row() * n));
+// Walks steps [0, last_step] over the calling thread's arena and returns
+// the arena base (ReplayEmbedding stops at the plan's output_ready_step;
+// the classify tail needs the full list).
+PILOTE_HOT_PATH float* ReplaySteps(const InferencePlan& plan,
+                                   const Tensor& in, int32_t last_step,
+                                   std::vector<int>* labels) {
+  PILOTE_CHECK_EQ(in.rank(), 2);
+  PILOTE_CHECK_EQ(in.cols(), plan.input_cols());
+  const int64_t n = in.rows();
+  const size_t needed = static_cast<size_t>(plan.arena_per_row() * n);
+  if (needed > t_arena.size()) {
+    // hotpath-ok: arena growth past this thread's high-water mark only
+    t_arena.resize(needed);
   }
-  const std::vector<Step>& steps = plan_->steps();
+  float* arena = t_arena.data();
+  auto slice = [&plan, arena, n](int32_t value) {
+    return SliceAt(plan, arena, value, n);
+  };
+  // The input value (id 0) has no slice: it is read from the caller's
+  // tensor.
+  auto read = [&slice, &in](int32_t value) -> ConstSpan<float> {
+    if (value == 0) return in.span();
+    return slice(value);
+  };
+  const std::vector<Step>& steps = plan.steps();
   for (int32_t s = 0; s <= last_step; ++s) {
     const Step& step = steps[static_cast<size_t>(s)];
     switch (step.kind) {
       case StepKind::kGemmTransB: {
-        const Tensor& weight = plan_->constant(step.constant);
-        GemmTransBSerial(ReadAt(in, step.in, n).data(), weight.data(),
-                         SliceAt(step.out, n).data(), n, step.k,
-                         step.cols);
-        GuardStepNumerics("gemm", SliceAt(step.out, n).data(),
-                          n * step.cols);
+        const Tensor& weight = plan.constant(step.constant);
+        GemmTransBSerial(read(step.in).data(), weight.data(),
+                         slice(step.out).data(), n, step.k, step.cols);
+        GuardStepNumerics("gemm", slice(step.out).data(), n * step.cols);
         break;
       }
       case StepKind::kElementwise: {
-        const float* src = ReadAt(in, step.in, n).data();
-        float* dst = SliceAt(step.out, n).data();
+        const float* src = read(step.in).data();
+        float* dst = slice(step.out).data();
         for (const MicroStep& micro : step.micro) {
           const float* pa =
-              micro.a >= 0 ? plan_->constant(micro.a).data() : nullptr;
+              micro.a >= 0 ? plan.constant(micro.a).data() : nullptr;
           const float* pb =
-              micro.b >= 0 ? plan_->constant(micro.b).data() : nullptr;
+              micro.b >= 0 ? plan.constant(micro.b).data() : nullptr;
           ApplyMicroPass(micro, pa, pb, src, dst, n, step.cols);
           src = dst;  // later passes run in place on the output slice
         }
@@ -135,27 +124,25 @@ void Executor::ReplaySteps(const Tensor& in, int64_t n, int32_t last_step,
         break;
       }
       case StepKind::kRowSquaredNorm: {
-        RowSquaredNormInto(ReadAt(in, step.in, n).data(), n, step.k,
-                           SliceAt(step.out, n).data());
-        GuardStepNumerics("row_squared_norm",
-                          SliceAt(step.out, n).data(), n);
+        RowSquaredNormInto(read(step.in).data(), n, step.k,
+                           slice(step.out).data());
+        GuardStepNumerics("row_squared_norm", slice(step.out).data(), n);
         break;
       }
       case StepKind::kNcmCombine: {
-        const Tensor& proto_norms = plan_->constant(step.constant);
-        SquaredDistanceCombineInto(ReadAt(in, step.in, n).data(),
-                                   ReadAt(in, step.in2, n).data(),
+        const Tensor& proto_norms = plan.constant(step.constant);
+        SquaredDistanceCombineInto(read(step.in).data(),
+                                   read(step.in2).data(),
                                    proto_norms.data(),
-                                   SliceAt(step.out, n).data(), n,
-                                   step.cols);
-        GuardStepNumerics("ncm_combine", SliceAt(step.out, n).data(),
+                                   slice(step.out).data(), n, step.cols);
+        GuardStepNumerics("ncm_combine", slice(step.out).data(),
                           n * step.cols);
         break;
       }
       case StepKind::kArgMinLabel: {
         PILOTE_DCHECK(labels != nullptr);
-        const float* distances = ReadAt(in, step.in, n).data();
-        const std::vector<int>& table = plan_->labels();
+        const float* distances = read(step.in).data();
+        const std::vector<int>& table = plan.labels();
         labels->resize(static_cast<size_t>(n));  // hotpath-ok: the output
         for (int64_t r = 0; r < n; ++r) {
           const float* pm = distances + r * step.cols;
@@ -168,51 +155,38 @@ void Executor::ReplaySteps(const Tensor& in, int64_t n, int32_t last_step,
       }
     }
   }
+  return arena;
 }
 
-bool Executor::TryRun(const Tensor& in, Tensor* out) {
+}  // namespace
+
+void ReplayEmbedding(const InferencePlan& plan, const Tensor& in,
+                     Tensor* out) {
   PILOTE_CHECK(out != nullptr);
-  PILOTE_CHECK_EQ(in.rank(), 2);
-  PILOTE_CHECK_EQ(in.cols(), plan_->input_cols());
-  const int32_t output = plan_->output_value();
+  const int32_t output = plan.output_value();
   PILOTE_CHECK(output > 0) << "plan has no marked tensor output";
-  ArenaClaim claim(busy_);
-  if (!claim.claimed()) return false;
-  const int64_t n = in.rows();
   // Stop once the marked output is complete: the classify tail (if any)
   // never feeds back into the pinned output value.
-  ReplaySteps(in, n, plan_->output_ready_step(), /*labels=*/nullptr);
-  const int64_t out_cols = plan_->value_cols(output);
+  float* arena = ReplaySteps(plan, in, plan.output_ready_step(),
+                             /*labels=*/nullptr);
+  const int64_t n = in.rows();
+  const int64_t out_cols = plan.value_cols(output);
   if (out->rank() != 2 || out->cols() != out_cols) {
     *out = Tensor(Shape::Matrix(n, out_cols));  // hotpath-ok: first call
   } else {
     out->ResizeRows(n);
   }
-  std::memcpy(out->data(), SliceAt(output, n).data(),
+  std::memcpy(out->data(), SliceAt(plan, arena, output, n).data(),
               static_cast<size_t>(n * out_cols) * sizeof(float));
-  return true;
 }
 
-bool Executor::TryRunClassify(const Tensor& in, std::vector<int>* labels) {
+void ReplayClassify(const InferencePlan& plan, const Tensor& in,
+                    std::vector<int>* labels) {
   PILOTE_CHECK(labels != nullptr);
-  PILOTE_CHECK_EQ(in.rank(), 2);
-  PILOTE_CHECK_EQ(in.cols(), plan_->input_cols());
-  PILOTE_CHECK(plan_->has_classify_tail())
+  PILOTE_CHECK(plan.has_classify_tail())
       << "plan was captured without a classify tail";
-  ArenaClaim claim(busy_);
-  if (!claim.claimed()) return false;
-  ReplaySteps(in, in.rows(),
-              static_cast<int32_t>(plan_->steps().size()) - 1, labels);
-  return true;
-}
-
-void Executor::Run(const Tensor& in, Tensor* out) {
-  PILOTE_CHECK(TryRun(in, out)) << "executor arena claimed concurrently";
-}
-
-void Executor::RunClassify(const Tensor& in, std::vector<int>* labels) {
-  PILOTE_CHECK(TryRunClassify(in, labels))
-      << "executor arena claimed concurrently";
+  ReplaySteps(plan, in, static_cast<int32_t>(plan.steps().size()) - 1,
+              labels);
 }
 
 }  // namespace exec

@@ -1,13 +1,9 @@
 #ifndef PILOTE_EXEC_EXECUTOR_H_
 #define PILOTE_EXEC_EXECUTOR_H_
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/hot_path.h"
-#include "common/span.h"
 #include "exec/plan.h"
 #include "tensor/tensor.h"
 
@@ -16,73 +12,31 @@ namespace exec {
 
 // Zero-allocation replay of an InferencePlan.
 //
-// The executor owns one flat float arena sized plan->arena_per_row() * n
-// for the largest batch n seen so far; every intermediate of a replay
-// lives in its planned slice of that arena, so the steady state touches
-// the allocator only when the batch size grows past the high-water mark.
-// There is no shared_ptr traffic and no std::function dispatch on the
-// replay path: steps are a flat vector walked with a switch, and GEMMs go
-// through the serial kernel entry points.
+// Every intermediate of a replay lives in its planned slice of one flat
+// float arena. The arena is a thread_local buffer owned by the replaying
+// thread, sized plan.arena_per_row() * n and grown only when a replay
+// needs more floats than that thread has used before, so the steady state
+// never touches the allocator. There is no shared_ptr traffic and no
+// std::function dispatch on the replay path: steps are a flat vector
+// walked with a switch, and GEMMs go through the serial kernel entry
+// points.
 //
-// Concurrency: the arena is exclusive mutable state, but the executor is
-// reachable from const inference entry points that the serving layer may
-// call concurrently under a shared lock. TryRun/TryRunClassify claim the
-// arena with a lock-free atomic test-and-set and return false when it is
-// already claimed — the caller then falls back to the eager path. The
-// single-worker serve loop therefore always replays through the plan,
-// while overlapping ad-hoc readers stay correct without a mutex on the
-// hot path.
-class Executor {
- public:
-  explicit Executor(std::shared_ptr<const InferencePlan> plan);
+// Concurrency: the plan is immutable and each thread replays into its own
+// arena, so any number of threads may replay one plan at once with no
+// synchronization and no fallback.
 
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
+// Replays the plan on `in` [n, input_cols] and writes the marked output
+// value into `out` (resized to [n, out_cols]; its buffer is reused when
+// the caller passes the same tensor again). Stops at the plan's
+// output_ready_step, skipping any classify tail.
+PILOTE_HOT_PATH void ReplayEmbedding(const InferencePlan& plan,
+                                     const Tensor& in, Tensor* out);
 
-  const InferencePlan& plan() const { return *plan_; }
-
-  // Replays the plan on `in` [n, input_cols] and writes the marked output
-  // value into `out` (resized to [n, out_cols]; its buffer is reused when
-  // the caller passes the same tensor again). Returns false without
-  // running when the arena is claimed by a concurrent replay.
-  PILOTE_HOT_PATH bool TryRun(const Tensor& in, Tensor* out);
-
-  // Replays the plan through its classify tail and writes one label per
-  // input row. Returns false when the arena is claimed.
-  PILOTE_HOT_PATH bool TryRunClassify(const Tensor& in,
-                                      std::vector<int>* labels);
-
-  // CHECK-failing conveniences for exclusively-owned executors (tests,
-  // single-threaded tools): as above but a concurrent claim is fatal.
-  PILOTE_HOT_PATH void Run(const Tensor& in, Tensor* out);
-  PILOTE_HOT_PATH void RunClassify(const Tensor& in,
-                                   std::vector<int>* labels);
-
-  // Current arena capacity in floats (tests: pinned across steady-state
-  // replays, grows only past the batch-size high-water mark).
-  int64_t arena_capacity() const {
-    return static_cast<int64_t>(arena_.size());
-  }
-
- private:
-  // Walks steps [0, last_step] for a batch of n rows (TryRun stops at the
-  // plan's output_ready_step; the classify tail needs the full list).
-  // Requires the arena claim.
-  PILOTE_HOT_PATH void ReplaySteps(const Tensor& in, int64_t n,
-                                   int32_t last_step,
-                                   std::vector<int>* labels);
-  // Arena slice of a planned value for a batch of n rows, as a sized
-  // span: pointer+size in release, bounds-checked kernels-side writes in
-  // debug. Slices are re-derived per use — never stored across a resize.
-  PILOTE_HOT_PATH Span<float> SliceAt(int32_t value, int64_t n);
-  PILOTE_HOT_PATH ConstSpan<float> ReadAt(const Tensor& in, int32_t value,
-                                          int64_t n);
-
-  std::shared_ptr<const InferencePlan> plan_;
-  std::vector<float> arena_;
-  int64_t rows_high_water_ = 0;
-  std::atomic<bool> busy_{false};
-};
+// Replays the plan through its classify tail and writes one label per
+// input row.
+PILOTE_HOT_PATH void ReplayClassify(const InferencePlan& plan,
+                                    const Tensor& in,
+                                    std::vector<int>* labels);
 
 }  // namespace exec
 }  // namespace pilote

@@ -17,8 +17,8 @@ namespace exec {
 // it owns copies of every constant it reads (weights, scaler statistics,
 // prototypes), so the module it was captured from may be retrained or
 // replaced wholesale without invalidating a concurrently-executing replay.
-// Replay state (the arena) lives in exec::Executor; one plan can back any
-// number of executors.
+// Replay (exec/executor.h) keeps its arena per thread, so any number of
+// threads may replay one plan at once.
 //
 // See DESIGN.md "Compiled inference plans" for the capture protocol and
 // the bit-identity contract with the eager path.

@@ -22,17 +22,6 @@ std::string SeriesName(const std::string& name, const std::string& labels) {
   return name + "{" + labels + "}";
 }
 
-// CSV cell for labels: no quotes (they would need CSV escaping) and no
-// commas by construction (single key=value pair).
-std::string CsvLabels(const std::string& labels) {
-  std::string out;
-  out.reserve(labels.size());
-  for (char c : labels) {
-    if (c != '"') out += c;
-  }
-  return out;
-}
-
 // pilote_a_b for a metric named a/b (Prometheus name charset).
 std::string PrometheusName(const std::string& name) {
   std::string out = "pilote_";
@@ -207,29 +196,6 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-std::string ToCsv(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "kind,name,labels,count,value,sum,min,max,p50,p95,p99,p999\n";
-  for (const CounterSample& c : snapshot.counters) {
-    os << "counter," << c.name << "," << CsvLabels(c.labels) << ",,"
-       << c.value << ",,,,,,,\n";
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    os << "gauge," << g.name << "," << CsvLabels(g.labels) << ",,"
-       << g.value << ",,,,,,,\n";
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    os << "histogram," << h.name << "," << CsvLabels(h.labels) << ","
-       << h.count << ",," << h.sum << "," << h.min << "," << h.max << ","
-       << h.p50 << "," << h.p95 << "," << h.p99 << "," << h.p999 << "\n";
-  }
-  for (const SpanSample& s : snapshot.spans) {
-    os << "span," << s.name << ",," << s.count << ",," << s.total_seconds
-       << ",,,,,," << "\n";
-  }
-  return os.str();
-}
-
 std::string ToPrometheus(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
   os.setf(std::ios::fmtflags(0), std::ios::floatfield);
@@ -293,10 +259,6 @@ std::string ToPrometheus(const MetricsSnapshot& snapshot) {
 
 Status WriteMetricsJson(const std::string& path) {
   return WriteStringToFile(path, ToJson(CaptureSnapshot()));
-}
-
-Status WriteMetricsCsv(const std::string& path) {
-  return WriteStringToFile(path, ToCsv(CaptureSnapshot()));
 }
 
 void EnableMetricsJsonOutput(const std::string& path) {

@@ -38,20 +38,14 @@ std::string ToReport(const MetricsSnapshot& snapshot);
 // labeled series use the key `name{key="value"}`.
 std::string ToJson(const MetricsSnapshot& snapshot);
 
-// Flat CSV: kind,name,labels,count,value,sum,min,max,p50,p95,p99,p999 —
-// one row per metric, empty cells where a column does not apply. The
-// labels cell is rendered without quotes (`stage=predict`).
-std::string ToCsv(const MetricsSnapshot& snapshot);
-
 // Prometheus text exposition. Names map `a/b_ms` -> `pilote_a_b_ms`;
 // counters gain the conventional `_total` suffix; histograms render as
 // summaries with quantile labels 0.5/0.95/0.99/0.999 plus _sum/_count;
 // failpoints render as pilote_failpoint_{hits,fires}_total{name="..."}.
 std::string ToPrometheus(const MetricsSnapshot& snapshot);
 
-// Captures a snapshot and writes it in the given format.
+// Captures a snapshot and writes it as JSON.
 Status WriteMetricsJson(const std::string& path);
-Status WriteMetricsCsv(const std::string& path);
 
 // Enables recording now and writes a JSON snapshot to `path` at process
 // exit (last call wins). Used by the bench --metrics-json flag.

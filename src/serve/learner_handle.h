@@ -58,13 +58,6 @@ class LearnerHandle {
     return learner_->model_version();
   }
 
-  // Version of the learner's live compiled inference plan (-1 while it is
-  // serving eagerly). Lock-free for the same reason as model_version():
-  // the tag is an atomic inside EdgeLearner.
-  int64_t plan_version() const PILOTE_NO_THREAD_SAFETY_ANALYSIS {
-    return learner_->plan_version();
-  }
-
   // Number of classes currently known, under the shared lock.
   int64_t NumKnownClasses() const PILOTE_EXCLUDES(mutex_);
 

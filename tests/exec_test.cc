@@ -1,10 +1,12 @@
 // Compiled-inference-plan suite: lifetime arena planning on hand-built
 // graphs, capture/fusion introspection, bit-identical plan-vs-eager replay
-// across batch sizes, the zero-steady-state-allocation pin, and the
+// across batch sizes, the zero-steady-state-allocation pin, concurrent
+// predictions on one learner all replaying the plan, and the
 // transactional plan rebuild contract under injected faults (chaos label).
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "exec/memory_planner.h"
 #include "exec/plan_builder.h"
 #include "har/har_dataset.h"
+#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
@@ -188,10 +191,9 @@ TEST(ExecutorTest, ReplaysHandBuiltPlanNumerically) {
   auto plan = builder.Finish(/*version=*/1);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  exec::Executor executor(plan.value());
   Tensor in(Shape::Matrix(2, 2), {3.0f, 1.0f, -1.0f, 4.0f});
   Tensor out;
-  executor.Run(in, &out);
+  exec::ReplayEmbedding(*plan.value(), in, &out);
   ASSERT_EQ(out.rows(), 2);
   ASSERT_EQ(out.cols(), 2);
   EXPECT_FLOAT_EQ(out(0, 0), 2.5f);   // 3 - 1 + 0.5
@@ -217,9 +219,8 @@ TEST(ExecutorTest, ClassifyTailMatchesNcmPredict) {
 
   Tensor queries(Shape::Matrix(3, 2),
                  {1.0f, 1.0f, 9.0f, 9.0f, 4.0f, 6.0f});
-  exec::Executor executor(plan.value());
   std::vector<int> labels;
-  executor.RunClassify(queries, &labels);
+  exec::ReplayClassify(*plan.value(), queries, &labels);
   EXPECT_EQ(labels, ncm.Predict(queries));
 }
 
@@ -286,13 +287,13 @@ TEST_F(CompiledLearnerTest, PlanMatchesEagerBitIdenticalAcrossBatchSizes) {
     ASSERT_EQ(raw.rows(), batch);
 
     // Labels through the plan vs the eager tape: exact equality.
-    EXPECT_EQ(learner->PredictBatch(raw), learner->PredictBatchEager(raw));
+    EXPECT_EQ(learner->PredictBatch(raw),
+              learner->classifier().Predict(learner->EmbedRaw(raw)));
 
-    // Embeddings bit for bit: replay the learner's own plan on a private
-    // executor and compare against the eager scaler+backbone pass.
-    exec::Executor executor(learner->inference_plan());
+    // Embeddings bit for bit: replay the learner's own plan directly and
+    // compare against the eager scaler+backbone pass.
     Tensor plan_embedding;
-    executor.Run(raw, &plan_embedding);
+    exec::ReplayEmbedding(*learner->inference_plan(), raw, &plan_embedding);
     Tensor eager_embedding = learner->EmbedRaw(raw);
     ASSERT_EQ(plan_embedding.rows(), eager_embedding.rows());
     ASSERT_EQ(plan_embedding.cols(), eager_embedding.cols());
@@ -306,19 +307,19 @@ TEST_F(CompiledLearnerTest, PlanMatchesEagerBitIdenticalAcrossBatchSizes) {
 
 TEST_F(CompiledLearnerTest, SteadyStateReplayIsAllocationFree) {
   auto learner = MakeLearner();
-  exec::Executor executor(learner->inference_plan());
+  const exec::InferencePlan& plan = *learner->inference_plan();
   std::vector<int> labels;
   Tensor out;
   // Warm-up: arena growth, label/output buffers, first-use metric
   // registration all land here.
-  ASSERT_TRUE(executor.TryRunClassify(state_->probe, &labels));
-  ASSERT_TRUE(executor.TryRun(state_->probe, &out));
+  exec::ReplayClassify(plan, state_->probe, &labels);
+  exec::ReplayEmbedding(plan, state_->probe, &out);
 
   alloc::ScopedTracking tracking;
   alloc::AllocationScope scope;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(executor.TryRunClassify(state_->probe, &labels));
-    ASSERT_TRUE(executor.TryRun(state_->probe, &out));
+    exec::ReplayClassify(plan, state_->probe, &labels);
+    exec::ReplayEmbedding(plan, state_->probe, &out);
   }
   EXPECT_EQ(scope.count(), 0)
       << "steady-state replay touched the allocator " << scope.count()
@@ -327,20 +328,73 @@ TEST_F(CompiledLearnerTest, SteadyStateReplayIsAllocationFree) {
 
 TEST_F(CompiledLearnerTest, ArenaGrowsOnlyPastTheBatchHighWaterMark) {
   auto learner = MakeLearner();
-  exec::Executor executor(learner->inference_plan());
-  std::vector<int> labels;
+  const exec::InferencePlan& plan = *learner->inference_plan();
   Tensor big = state_->probe;  // the fixture probe has many rows
   ASSERT_GT(big.rows(), 2);
-  ASSERT_TRUE(executor.TryRunClassify(big, &labels));
-  const int64_t capacity = executor.arena_capacity();
-  EXPECT_EQ(capacity, executor.plan().arena_per_row() * big.rows());
-
-  // Smaller batches replay inside the existing arena.
   Tensor small = SliceRows(big, 0, 2);
-  ASSERT_TRUE(executor.TryRunClassify(small, &labels));
-  EXPECT_EQ(executor.arena_capacity(), capacity);
-  ASSERT_TRUE(executor.TryRunClassify(big, &labels));
-  EXPECT_EQ(executor.arena_capacity(), capacity);
+  Tensor bigger = ConcatRows({big, big});
+
+  // A fresh thread starts with an empty replay arena, so only arena growth
+  // can allocate: the label buffer is reserved up front for every batch.
+  int64_t first_allocs = -1;
+  int64_t small_allocs = -1;
+  int64_t same_allocs = -1;
+  int64_t bigger_allocs = -1;
+  std::thread replayer([&plan, &big, &small, &bigger, &first_allocs,
+                        &small_allocs, &same_allocs, &bigger_allocs] {
+    std::vector<int> labels;
+    labels.reserve(static_cast<size_t>(bigger.rows()));
+    alloc::ScopedTracking tracking;
+    auto allocs_of = [&plan, &labels](const Tensor& batch) {
+      alloc::AllocationScope scope;
+      exec::ReplayClassify(plan, batch, &labels);
+      return scope.count();
+    };
+    first_allocs = allocs_of(big);
+    // Smaller and equal batches replay inside the existing arena.
+    small_allocs = allocs_of(small);
+    same_allocs = allocs_of(big);
+    // A batch past the high-water mark grows it.
+    bigger_allocs = allocs_of(bigger);
+  });
+  replayer.join();
+  EXPECT_GT(first_allocs, 0);
+  EXPECT_EQ(small_allocs, 0);
+  EXPECT_EQ(same_allocs, 0);
+  EXPECT_GT(bigger_allocs, 0);
+}
+
+TEST_F(CompiledLearnerTest, ConcurrentPredictBatchAlwaysReplaysThePlan) {
+  auto learner = MakeLearner();
+  const std::vector<int> expected = learner->PredictBatch(state_->probe);
+
+  obs::ScopedEnable metrics;
+  const obs::Counter& fallback =
+      obs::MetricsRegistry::Global().GetCounter("exec/fallback_windows");
+  const int64_t fallback_before = fallback.value();
+
+  // Each thread replays into its own arena: every call must take the plan,
+  // never the eager tape, and return the single-thread labels.
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 300;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&learner, &expected, &mismatches, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (learner->PredictBatch(state_->probe) != expected) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_EQ(fallback.value() - fallback_before, 0)
+      << "windows ran the eager tape while a plan was live";
 }
 
 TEST_F(CompiledLearnerTest, LearnNewClassesRecapturesThePlan) {
@@ -357,7 +411,7 @@ TEST_F(CompiledLearnerTest, LearnNewClassesRecapturesThePlan) {
                       static_cast<int>(Activity::kRun)),
             labels.end());
   EXPECT_EQ(learner->PredictBatch(state_->probe),
-            learner->PredictBatchEager(state_->probe));
+            learner->classifier().Predict(learner->EmbedRaw(state_->probe)));
 }
 
 TEST_F(CompiledLearnerTest, FailedLearnRollsThePlanBackWithTheModel) {

@@ -1,8 +1,7 @@
-// Exporter-format tests for obs/export.cc: JSON/CSV/Prometheus round
+// Exporter-format tests for obs/export.cc: JSON/Prometheus round
 // trips of labeled and unlabeled series, empty-registry output, histogram
 // delta edge cases at the export boundary, and the unification of
 // failpoint stats into the same snapshot/artifacts as the metrics.
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -46,15 +45,11 @@ TEST_F(ObsExportTest, EmptyRegistryProducesWellFormedOutput) {
   EXPECT_NE(json.find("\"counters\":{}"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":{}"), std::string::npos);
 
-  const std::string csv = ToCsv(snapshot);
-  EXPECT_EQ(
-      csv, "kind,name,labels,count,value,sum,min,max,p50,p95,p99,p999\n");
-
   // Prometheus: no series, no TYPE headers.
   EXPECT_EQ(ToPrometheus(snapshot), "");
 }
 
-TEST_F(ObsExportTest, LabeledSeriesRoundTripThroughJsonAndCsv) {
+TEST_F(ObsExportTest, LabeledSeriesRoundTripThroughJson) {
   CounterFamily degraded = FamilyRegistry::Global().GetCounterFamily(
       "test/degraded_total", "reason", {"deadline", "backpressure"});
   degraded.At(0).Add(3);
@@ -72,16 +67,6 @@ TEST_F(ObsExportTest, LabeledSeriesRoundTripThroughJsonAndCsv) {
       std::string::npos);
   EXPECT_NE(json.find("\"test/stage_ms{stage=\\\"predict\\\"}\""),
             std::string::npos);
-
-  // CSV: labels land in their own column, quote-stripped so the row stays
-  // a plain 12-field record.
-  const std::string csv = ToCsv(snapshot);
-  EXPECT_NE(csv.find("counter,test/degraded_total,reason=deadline,,3"),
-            std::string::npos);
-  EXPECT_NE(csv.find("histogram,test/stage_ms,stage=predict,1,"),
-            std::string::npos);
-  const std::string header = csv.substr(0, csv.find('\n'));
-  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 11);
 }
 
 TEST_F(ObsExportTest, HistogramDeltaEdgeCasesAtExportBoundary) {

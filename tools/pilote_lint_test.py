@@ -419,7 +419,7 @@ class HotpathClosureTest(unittest.TestCase):
         self.assertEqual(hotpath_errors(files), [])
 
     def test_name_keyed_roots_catch_same_named_definitions(self):
-        # Root discovery is name-keyed: marking exec::Executor::Run hot
+        # Root discovery is name-keyed: marking one hot `Run` entry point
         # makes every function whose bare name is `Run` a root, including
         # an unrelated cold driver in another file.
         files = {
