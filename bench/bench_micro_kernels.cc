@@ -27,13 +27,46 @@ void BM_GemmLayerShape(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * in * out);
 }
-// The paper backbone's layer shapes at a 128-row siamese batch.
+// The paper backbone's layer shapes at a 128-row siamese batch, plus the
+// shapes around where MatMulTransB switches from the dot rows to packing
+// B^T (kPackMinRows/kPackMinCols in src/tensor/gemm.cc): the widest layer
+// at few rows, and the NCM cross-term (5 prototypes) next to 16 columns.
 BENCHMARK(BM_GemmLayerShape)
     ->Args({128, 80, 1024})
     ->Args({128, 1024, 512})
     ->Args({128, 512, 128})
     ->Args({128, 128, 64})
-    ->Args({128, 64, 128});
+    ->Args({128, 64, 128})
+    ->Args({1, 1024, 512})
+    ->Args({4, 1024, 512})
+    ->Args({16, 1024, 512})
+    ->Args({32, 1024, 512})
+    ->Args({512, 128, 5})
+    ->Args({512, 128, 16})
+    ->UseRealTime();
+
+// The Linear weight gradient of the backward pass: dW[out, in] =
+// dY[batch, out]^T * X[batch, in].
+void BM_GemmTransALayerShape(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const int64_t in = state.range(1);
+  const int64_t out = state.range(2);
+  Rng rng(1);
+  Tensor dy = Tensor::RandNormal(Shape::Matrix(batch, out), rng);
+  Tensor x = Tensor::RandNormal(Shape::Matrix(batch, in), rng);
+  for (auto _ : state) {
+    Tensor dw = MatMulTransA(dy, x);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * in * out);
+}
+BENCHMARK(BM_GemmTransALayerShape)
+    ->Args({128, 80, 1024})
+    ->Args({128, 1024, 512})
+    ->Args({128, 512, 128})
+    ->Args({128, 128, 64})
+    ->Args({128, 64, 128})
+    ->UseRealTime();
 
 void BM_FeatureExtraction(benchmark::State& state) {
   har::SensorSimulator sim(2);

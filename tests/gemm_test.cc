@@ -1,8 +1,12 @@
+#include <cmath>
+#include <cstring>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -104,6 +108,135 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 16, 16), std::make_tuple(33, 17, 29),
                       std::make_tuple(64, 128, 32),
                       std::make_tuple(128, 80, 128)));
+
+// Rounding pins. Every kernel sums over p in order from 0.0f; what differs
+// is the rounding of each step, which gemm.cc writes in source. A*B^T is
+// unfused (the product rounded, then the sum), A*B and A^T*B are fused
+// (std::fma). The references below spell out that contract; the
+// comparisons are memcmp, so a kernel that reorders the sum or lets the
+// compiler contract (or stop contracting) a step fails here.
+
+// C = A * B^T with C[i,j] = (..((0 + a_i0*b_j0) + a_i1*b_j1) + ..), every
+// product rounded on its own: the volatile store keeps it out of an FMA.
+Tensor UnfusedTransBReference(const Tensor& a, const Tensor& b) {
+  Tensor c(Shape::Matrix(a.rows(), b.rows()));
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < b.rows(); ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < a.cols(); ++p) {
+        volatile float product = a(i, p) * b(j, p);
+        acc = acc + product;
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+// C = A_op * B with C[i,j] = fma(a_ip, b_pj, ..fma(a_i0, b_0j, 0)..);
+// a_ip comes from A [m, k] or, with trans_a, from A [k, m].
+Tensor FusedReference(const Tensor& a, const Tensor& b, bool trans_a) {
+  const int64_t m = trans_a ? a.cols() : a.rows();
+  const int64_t k = trans_a ? a.rows() : a.cols();
+  Tensor c(Shape::Matrix(m, b.cols()));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc = std::fma(trans_a ? a(p, i) : a(i, p), b(p, j), acc);
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+bool BitIdentical(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
+// A ReLU-sparse activation matrix: about half its entries are exactly 0.
+Tensor ReluSparse(int64_t rows, int64_t cols, Rng& rng) {
+  return Relu(Tensor::RandNormal(Shape::Matrix(rows, cols), rng));
+}
+
+// m spans the dot rows (1, 5) and the packed SAXPY rows (130) of
+// GemmTransB; k is odd, where the unpinned dot rows were partly fused.
+// The last shape is above the 4 MFLOP parallel-dispatch threshold.
+class GemmRoundingTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(GemmRoundingTest, TransBIsUnfusedInOrder) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(static_cast<uint64_t>(m * 31 + k * 37 + n * 41));
+  Tensor a = ReluSparse(m, k, rng);
+  Tensor b = Tensor::RandNormal(Shape::Matrix(n, k), rng);
+  const Tensor want = UnfusedTransBReference(a, b);
+  EXPECT_TRUE(BitIdentical(MatMulTransB(a, b), want));
+  Tensor serial(Shape::Matrix(m, n));
+  GemmTransBSerial(a.data(), b.data(), serial.data(), m, k, n);
+  EXPECT_TRUE(BitIdentical(serial, want));
+}
+
+TEST_P(GemmRoundingTest, MatMulIsFusedInOrder) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(static_cast<uint64_t>(m * 43 + k * 47 + n * 53));
+  Tensor a = ReluSparse(m, k, rng);
+  Tensor b = Tensor::RandNormal(Shape::Matrix(k, n), rng);
+  const Tensor want = FusedReference(a, b, /*trans_a=*/false);
+  EXPECT_TRUE(BitIdentical(MatMul(a, b), want));
+  Tensor serial(Shape::Matrix(m, n));
+  GemmSerial(a.data(), b.data(), serial.data(), m, k, n);
+  EXPECT_TRUE(BitIdentical(serial, want));
+}
+
+TEST_P(GemmRoundingTest, TransAIsFusedInOrder) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(static_cast<uint64_t>(m * 59 + k * 61 + n * 67));
+  Tensor at = ReluSparse(k, m, rng);
+  Tensor b = Tensor::RandNormal(Shape::Matrix(k, n), rng);
+  const Tensor want = FusedReference(at, b, /*trans_a=*/true);
+  EXPECT_TRUE(BitIdentical(MatMulTransA(at, b), want));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmRoundingTest,
+    ::testing::Values(std::make_tuple(1, 3, 9), std::make_tuple(5, 7, 13),
+                      std::make_tuple(130, 17, 37),
+                      std::make_tuple(130, 33, 24),
+                      std::make_tuple(5, 33, 64),
+                      std::make_tuple(130, 257, 65)));
+
+// Two threads run packed, pool-dispatched MatMulTransB calls on different
+// operands at once. Each result must equal its single-thread value: the
+// packed B^T panel is per calling thread.
+TEST(GemmTest, ConcurrentTransBCallersKeepTheirOwnPanel) {
+  Rng rng(8);
+  const Tensor a0 = ReluSparse(130, 257, rng);
+  const Tensor b0 = Tensor::RandNormal(Shape::Matrix(65, 257), rng);
+  const Tensor a1 = ReluSparse(128, 200, rng);
+  const Tensor b1 = Tensor::RandNormal(Shape::Matrix(96, 200), rng);
+  const Tensor want0 = MatMulTransB(a0, b0);
+  const Tensor want1 = MatMulTransB(a1, b1);
+  bool same0 = true;
+  bool same1 = true;
+  std::thread t0([&] {
+    for (int r = 0; r < 50; ++r) {
+      same0 &= BitIdentical(MatMulTransB(a0, b0), want0);
+    }
+  });
+  std::thread t1([&] {
+    for (int r = 0; r < 50; ++r) {
+      same1 &= BitIdentical(MatMulTransB(a1, b1), want1);
+    }
+  });
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(same0);
+  EXPECT_TRUE(same1);
+}
 
 }  // namespace
 }  // namespace pilote
