@@ -1,7 +1,12 @@
 // Microbenchmarks (google-benchmark) of the computational kernels behind
 // the pipeline: GEMM at the paper backbone's layer shapes, the 80-feature
-// extractor, NCM classification, and herding selection.
+// extractor, NCM classification, and herding selection, plus two host-peak
+// probes (FMA rate, streaming copy) that the GEMM rates are read against.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/export.h"
@@ -9,6 +14,7 @@
 #include "core/ncm_classifier.h"
 #include "har/feature_extractor.h"
 #include "har/sensor_simulator.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
@@ -44,6 +50,80 @@ BENCHMARK(BM_GemmLayerShape)
     ->Args({512, 128, 5})
     ->Args({512, 128, 16})
     ->UseRealTime();
+
+// The compiled-plan GEMM (what every serve window runs) over a weight
+// transposed once, as plan capture stores it. Bytes processed is the
+// weight read per call, the traffic that bounds a batch-1 window; compare
+// it with BM_HostPeakCopy.
+void BM_PlanGemmLayerShape(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const int64_t in = state.range(1);
+  const int64_t out = state.range(2);
+  Rng rng(1);
+  Tensor x = Relu(Tensor::RandNormal(Shape::Matrix(batch, in), rng));
+  Tensor w = Tensor::RandNormal(Shape::Matrix(out, in), rng);
+  Tensor wt(Shape::Matrix(in, out));
+  PackTransposed(w.data(), wt.data(), out, in);
+  Tensor y(Shape::Matrix(batch, out));
+  for (auto _ : state) {
+    GemmPackedSerial(x.data(), wt.data(), y.data(), batch, in, out);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * in * out);
+  state.SetBytesProcessed(state.iterations() * in * out *
+                          static_cast<int64_t>(sizeof(float)));
+}
+// The paper backbone 80 -> [1024, 512, 128, 64] -> 128 and its NCM
+// cross-term (5 prototypes), one window (m = 1) and one full serve batch
+// (m = 16).
+BENCHMARK(BM_PlanGemmLayerShape)
+    ->ArgsProduct({{1, 16}, {80}, {1024}})
+    ->ArgsProduct({{1, 16}, {1024}, {512}})
+    ->ArgsProduct({{1, 16}, {512}, {128}})
+    ->ArgsProduct({{1, 16}, {128}, {64}})
+    ->ArgsProduct({{1, 16}, {64}, {128}})
+    ->ArgsProduct({{1, 16}, {128}, {5}})
+    ->UseRealTime();
+
+// Host FMA peak of one core: twelve independent 8-float FMA chains, more
+// than FMA latency times issue width, so the loop is throughput-bound.
+// Items processed are FLOPs (2 per FMA).
+void BM_HostPeakFma(benchmark::State& state) {
+  constexpr int kLanes = 96;  // 12 chains of 8 floats
+  constexpr int kReps = 1024;
+  Rng rng(9);
+  const float mul = 1.0f - 1e-7f * static_cast<float>(rng.UniformDouble());
+  const float add = 1e-7f * static_cast<float>(rng.UniformDouble());
+  float acc[kLanes];
+  for (int l = 0; l < kLanes; ++l) acc[l] = static_cast<float>(l);
+  for (auto _ : state) {
+    for (int r = 0; r < kReps; ++r) {
+      for (int l = 0; l < kLanes; ++l) acc[l] = std::fma(acc[l], mul, add);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kReps * kLanes);
+}
+BENCHMARK(BM_HostPeakFma);
+
+// Host streaming bandwidth of one core: memcpy between two buffers that
+// together take the given footprint. Bytes processed count the read and
+// the write. At 2 MB, the size of the largest plan weight (1024 -> 512)
+// and of one core's L2, the copy stays in L2; 64 MB is well past it.
+void BM_HostPeakCopy(benchmark::State& state) {
+  const size_t half = static_cast<size_t>(state.range(0)) / 2;
+  std::vector<char> src(half, 1);
+  std::vector<char> dst(half, 0);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), half);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 *
+                          static_cast<int64_t>(half));
+}
+BENCHMARK(BM_HostPeakCopy)->Arg(2 << 20)->Arg(64 << 20)->UseRealTime();
 
 // The Linear weight gradient of the backward pass: dW[out, in] =
 // dY[batch, out]^T * X[batch, in].

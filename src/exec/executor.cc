@@ -102,9 +102,9 @@ PILOTE_HOT_PATH float* ReplaySteps(const InferencePlan& plan,
   for (int32_t s = 0; s <= last_step; ++s) {
     const Step& step = steps[static_cast<size_t>(s)];
     switch (step.kind) {
-      case StepKind::kGemmTransB: {
-        const Tensor& weight = plan.constant(step.constant);
-        GemmTransBSerial(read(step.in).data(), weight.data(),
+      case StepKind::kGemmPacked: {
+        const Tensor& weight_t = plan.constant(step.constant);
+        GemmPackedSerial(read(step.in).data(), weight_t.data(),
                          slice(step.out).data(), n, step.k, step.cols);
         GuardStepNumerics("gemm", slice(step.out).data(), n * step.cols);
         break;

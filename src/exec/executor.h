@@ -18,8 +18,8 @@ namespace exec {
 // needs more floats than that thread has used before, so the steady state
 // never touches the allocator. There is no shared_ptr traffic and no
 // std::function dispatch on the replay path: steps are a flat vector
-// walked with a switch, and GEMMs go through the serial kernel entry
-// points.
+// walked with a switch, and GEMMs go through the serial GemmPackedSerial
+// kernel.
 //
 // Concurrency: the plan is immutable and each thread replays into its own
 // arena, so any number of threads may replay one plan at once with no

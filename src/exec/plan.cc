@@ -11,8 +11,8 @@ namespace {
 
 const char* StepKindName(StepKind kind) {
   switch (kind) {
-    case StepKind::kGemmTransB:
-      return "gemm_trans_b";
+    case StepKind::kGemmPacked:
+      return "gemm_packed";
     case StepKind::kElementwise:
       return "elementwise";
     case StepKind::kRowSquaredNorm:

@@ -54,8 +54,10 @@ struct MicroStep {
 };
 
 enum class StepKind : uint8_t {
-  // out[n, cols] = in[n, k] * W[cols, k]^T via the serial GEMM kernel.
-  kGemmTransB,
+  // out[n, cols] = in[n, k] * Wt[k, cols] via GemmPackedSerial; Wt is a
+  // Linear weight or the NCM prototypes, W [cols, k], transposed once at
+  // capture.
+  kGemmPacked,
   // Chain of micro passes mapping in -> out elementwise; in == out marks
   // an in-place fused step on one arena slice.
   kElementwise,

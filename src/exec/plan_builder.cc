@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "tensor/gemm.h"
 
 namespace pilote {
 namespace exec {
@@ -15,10 +16,12 @@ ValueRef PlanBuilder::NewValue(int64_t cols) {
   return ValueRef{id, cols};
 }
 
-int32_t PlanBuilder::AddConstant(const Tensor& constant) {
+int32_t PlanBuilder::AddConstant(Tensor constant) {
   PILOTE_CHECK_GT(constant.numel(), 0);
   const int32_t id = static_cast<int32_t>(constants_.size());
-  constants_.push_back(constant);  // deep copy: plans own their constants
+  // Taken by value: a deep copy of the caller's tensor, so plans own their
+  // constants.
+  constants_.push_back(std::move(constant));
   return id;
 }
 
@@ -97,11 +100,15 @@ ValueRef PlanBuilder::Gemm(ValueRef x, const Tensor& weight) {
   PILOTE_CHECK_EQ(weight.cols(), x.cols)
       << "GEMM weight depth " << weight.cols() << " vs input " << x.cols;
   ValueRef out = NewValue(weight.rows());
+  // Stored as W^T [k, out] so replay runs the vectorized SAXPY rows with no
+  // per-call pack; the bits are those of the eager MatMulTransB.
+  Tensor weight_t(Shape::Matrix(x.cols, out.cols));
+  PackTransposed(weight.data(), weight_t.data(), out.cols, x.cols);
   Step step;
-  step.kind = StepKind::kGemmTransB;
+  step.kind = StepKind::kGemmPacked;
   step.in = x.id;
   step.out = out.id;
-  step.constant = AddConstant(weight);
+  step.constant = AddConstant(std::move(weight_t));
   step.k = x.cols;
   step.cols = out.cols;
   steps_.push_back(std::move(step));

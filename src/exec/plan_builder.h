@@ -48,7 +48,8 @@ class PlanBuilder {
   // (x - mean[c]) / stddev[c], the StandardScaler::Transform fused pass.
   ValueRef Standardize(ValueRef x, const Tensor& mean, const Tensor& stddev);
 
-  // x[n, k] * weight[out, k]^T -> [n, out] (the Linear forward GEMM).
+  // x[n, k] * weight[out, k]^T -> [n, out] (the Linear forward GEMM). The
+  // plan stores weight^T [k, out], transposed once here.
   ValueRef Gemm(ValueRef x, const Tensor& weight);
 
   // x + bias[c].
@@ -87,7 +88,7 @@ class PlanBuilder {
 
  private:
   ValueRef NewValue(int64_t cols);
-  int32_t AddConstant(const Tensor& constant);
+  int32_t AddConstant(Tensor constant);
   // Appends `micro` over x: fused onto the producing step, in place on a
   // freshly-defined arena value, or as a copy pass into a new value.
   ValueRef RecordElementwise(ValueRef x, MicroStep micro);

@@ -123,9 +123,8 @@ void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
 // Row-tiled like GemmRows: four independent accumulators share one
 // streamed b_row, so the weight matrix is read once per tile. The
 // reduction over p cannot vectorize without reassociating it, so this is
-// the slow form at wide shapes: it runs below kPackMinRows/kPackMinCols,
-// where packing B^T does not pay, and in GemmTransBSerial (the
-// compiled-plan Linear kernel).
+// the slow form at wide shapes: it runs only in GemmTransB below
+// kPackMinRows/kPackMinCols, where packing B^T per call does not pay.
 void GemmTransBRows(const float* a, const float* b, float* c,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
   int64_t i = row_begin;
@@ -171,26 +170,6 @@ void GemmTransBRows(const float* a, const float* b, float* c,
   }
 }
 
-// Writes bt[p * n + j] = b[j * k + p]: B [n, k] into the [k, n] panel.
-// Sixteen rows of B are read side by side so each store fills one 64-byte
-// line of the panel; a row-at-a-time transpose strides every store by n
-// floats and ran 8x slower at the 1024->512 layer.
-constexpr int64_t kPackStrip = 16;
-
-void PackTransposed(const float* b, float* bt, int64_t n, int64_t k) {
-  int64_t j0 = 0;
-  for (; j0 + kPackStrip <= n; j0 += kPackStrip) {
-    const float* b_strip = b + j0 * k;
-    for (int64_t p = 0; p < k; ++p) {
-      float* bt_row = bt + p * n + j0;
-      for (int64_t q = 0; q < kPackStrip; ++q) bt_row[q] = b_strip[q * k + p];
-    }
-  }
-  for (; j0 < n; ++j0) {
-    for (int64_t p = 0; p < k; ++p) bt[p * n + j0] = b[j0 * k + p];
-  }
-}
-
 void Dispatch(int64_t m, int64_t k, int64_t n,
               const std::function<void(int64_t, int64_t)>& rows_fn) {
   const int64_t flops = 2 * m * k * n;
@@ -233,16 +212,41 @@ void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t k,
   });
 }
 
-void GemmSerial(const float* a, const float* b, float* c, int64_t m,
-                int64_t k, int64_t n) {
-  CountGemm(m, k, n);
-  GemmRows<true>(a, b, c, 0, m, k, n);
-}
-
-void GemmTransBSerial(const float* a, const float* b, float* c, int64_t m,
+// The plan's kernel at every shape, with no size threshold. Serial, one
+// 4-vCPU Xeon core, median of 5 (BM_PlanGemmLayerShape), against the dot
+// rows the plan ran before (GemmTransBRows over B), m = 1:
+//   80->1024:  9.7 vs 58 us    1024->512: 67 vs 692 us
+//   512->128:  6.0 vs 73 us    128->64: 0.80 vs 7.1 us   64->128: 1.5 vs 5.6 us
+//   128->5 (NCM cross-term): 0.59 vs 0.59 us
+// and 1024->512 at m = 16: 0.76 vs 4.5 ms. Weight read at m = 1, as a share
+// of the 31 GB/s a 2 MB memcpy moves in the same run (BM_HostPeakCopy, read
+// plus write, in L2): 1024->512 29 GB/s (94%), 80->1024 31 GB/s (100%);
+// the 256 KB and 32 KB weights run at 20-40 GB/s. Only the cross-term is
+// not faster (6.5 vs 5.1 us at m = 16, 0.2% of that batch), too little for
+// a size selection to show, so it takes the same kernel.
+void GemmPackedSerial(const float* a, const float* bt, float* c, int64_t m,
                       int64_t k, int64_t n) {
   CountGemm(m, k, n);
-  GemmTransBRows(a, b, c, 0, m, k, n);
+  GemmRows<false>(a, bt, c, 0, m, k, n);
+}
+
+// Sixteen rows of B are read side by side so each store fills one 64-byte
+// line of B^T; a row-at-a-time transpose strides every store by n floats
+// and ran 8x slower at the 1024->512 layer.
+constexpr int64_t kPackStrip = 16;
+
+void PackTransposed(const float* b, float* bt, int64_t n, int64_t k) {
+  int64_t j0 = 0;
+  for (; j0 + kPackStrip <= n; j0 += kPackStrip) {
+    const float* b_strip = b + j0 * k;
+    for (int64_t p = 0; p < k; ++p) {
+      float* bt_row = bt + p * n + j0;
+      for (int64_t q = 0; q < kPackStrip; ++q) bt_row[q] = b_strip[q * k + p];
+    }
+  }
+  for (; j0 < n; ++j0) {
+    for (int64_t p = 0; p < k; ++p) bt[p * n + j0] = b[j0 * k + p];
+  }
 }
 
 void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,

@@ -9,7 +9,7 @@ namespace pilote {
 // Dense single-precision matrix multiply kernels over raw row-major buffers.
 // All kernels compute C = A_op * B_op (C is fully overwritten) and
 // parallelize over rows of C via ThreadPool::Global() when profitable
-// (GemmTransA stays serial).
+// (GemmTransA and GemmPackedSerial stay serial).
 //
 // Gemm:        C[m,n] = A[m,k] * B[k,n]
 // GemmTransB:  C[m,n] = A[m,k] * B[n,k]^T
@@ -32,19 +32,19 @@ PILOTE_HOT_PATH void GemmTransB(const float* a, const float* b, float* c,
 void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n);
 
-// Single-threaded variants over the full row range with no pool dispatch.
-// The thread-pool Dispatch captures the row callback in a std::function —
-// a heap allocation per call — so the compiled-inference executor
-// (src/exec/), whose replay loop must be allocation-free, calls these
-// instead. GemmTransBSerial always runs the dot-product rows (no panel).
-// Results are bit-identical to the parallel entry points under the
-// rounding contract above, and both variants tick the same
-// tensor/gemm_calls metrics.
-PILOTE_HOT_PATH void GemmSerial(const float* a, const float* b, float* c,
-                                int64_t m, int64_t k, int64_t n);
-PILOTE_HOT_PATH void GemmTransBSerial(const float* a, const float* b,
+// Compiled-plan GEMM: C[m,n] = A[m,k] * Bt[k,n], where Bt is a weight B
+// [n, k] stored once as B^T by PackTransposed. It runs the unfused SAXPY
+// rows of the packed GemmTransB path over all m rows, so it gives the same
+// bits as GemmTransB(a, b, c, m, k, n) under the rounding contract above.
+// It is serial and allocates nothing: the pool Dispatch captures the row
+// callback in a std::function, a heap allocation per call, and the
+// compiled-inference replay loop (src/exec/) must be allocation-free.
+PILOTE_HOT_PATH void GemmPackedSerial(const float* a, const float* bt,
                                       float* c, int64_t m, int64_t k,
                                       int64_t n);
+
+// Writes bt[p * n + j] = b[j * k + p]: B [n, k] into B^T [k, n].
+void PackTransposed(const float* b, float* bt, int64_t n, int64_t k);
 
 }  // namespace pilote
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -113,7 +114,7 @@ TEST(PlanBuilderTest, FusesElementwiseChainOntoOneStep) {
   // in place on the GEMM output slice.
   const auto& steps = plan.value()->steps();
   ASSERT_EQ(steps.size(), 2u);
-  EXPECT_EQ(steps[0].kind, exec::StepKind::kGemmTransB);
+  EXPECT_EQ(steps[0].kind, exec::StepKind::kGemmPacked);
   EXPECT_EQ(steps[1].kind, exec::StepKind::kElementwise);
   EXPECT_EQ(steps[1].in, steps[1].out);
   ASSERT_EQ(steps[1].micro.size(), 2u);
@@ -202,6 +203,46 @@ TEST(ExecutorTest, ReplaysHandBuiltPlanNumerically) {
   EXPECT_FLOAT_EQ(out(1, 1), 0.0f);   // -2 - 10 -> relu
 }
 
+// Each GEMM step holds its weight transposed once at capture, [k, cols],
+// and replay matches the eager MatMulTransB of the original weight bit for
+// bit: at batch 1 and 5 the eager side runs the dot rows, at 16 and 33 it
+// packs B^T per call (the 5-column layer stays on the dot rows), and the
+// plan side runs 4-row tiles plus tail rows.
+TEST(ExecutorTest, GemmStepsStoreTheWeightTransposedAndMatchEager) {
+  Rng rng(11);
+  const Tensor w1 = Tensor::RandNormal(Shape::Matrix(40, 37), rng);
+  const Tensor w2 = Tensor::RandNormal(Shape::Matrix(5, 40), rng);
+  exec::PlanBuilder builder;
+  exec::ValueRef x = builder.DeclareInput(37);
+  x = builder.Gemm(x, w1);
+  x = builder.Gemm(x, w2);
+  builder.MarkOutput(x);
+  auto plan = builder.Finish(/*version=*/1);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  const std::vector<exec::Step>& steps = plan.value()->steps();
+  ASSERT_EQ(steps.size(), 2u);
+  const Tensor* weights[] = {&w1, &w2};
+  for (size_t s = 0; s < steps.size(); ++s) {
+    ASSERT_EQ(steps[s].kind, exec::StepKind::kGemmPacked);
+    const Tensor& stored = plan.value()->constant(steps[s].constant);
+    EXPECT_EQ(stored.shape(), Shape::Matrix(steps[s].k, steps[s].cols));
+    EXPECT_TRUE(AllClose(stored, Transpose(*weights[s]), 0.0f, 0.0f));
+  }
+
+  for (int64_t batch : {1, 5, 16, 33}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const Tensor in = Tensor::RandNormal(Shape::Matrix(batch, 37), rng);
+    Tensor out;
+    exec::ReplayEmbedding(*plan.value(), in, &out);
+    const Tensor want = MatMulTransB(MatMulTransB(in, w1), w2);
+    ASSERT_EQ(out.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                          static_cast<size_t>(want.numel()) * sizeof(float)),
+              0);
+  }
+}
+
 TEST(ExecutorTest, ClassifyTailMatchesNcmPredict) {
   core::NcmClassifier ncm;
   ncm.SetPrototype(3, Tensor(Shape::Vector(2), {0.0f, 0.0f}));
@@ -279,7 +320,7 @@ TEST_F(CompiledLearnerTest, PlanIsLiveAndVersionTagged) {
 TEST_F(CompiledLearnerTest, PlanMatchesEagerBitIdenticalAcrossBatchSizes) {
   auto learner = MakeLearner();
   har::HarDataGenerator generator(99);
-  for (int64_t batch : {1, 2, 5, 16}) {
+  for (int64_t batch : {1, 2, 5, 16, 33}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     Tensor raw = generator.GenerateBalanced(
         std::max<int64_t>(1, batch / 2 + 1)).features();

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -162,9 +164,21 @@ Tensor ReluSparse(int64_t rows, int64_t cols, Rng& rng) {
   return Relu(Tensor::RandNormal(Shape::Matrix(rows, cols), rng));
 }
 
-// m spans the dot rows (1, 5) and the packed SAXPY rows (130) of
+// Runs the compiled-plan kernel over B^T packed once, as plan capture does.
+Tensor PlanGemm(const Tensor& a, const Tensor& b) {
+  Tensor bt(Shape::Matrix(b.cols(), b.rows()));
+  PackTransposed(b.data(), bt.data(), b.rows(), b.cols());
+  Tensor c(Shape::Matrix(a.rows(), b.rows()));
+  GemmPackedSerial(a.data(), bt.data(), c.data(), a.rows(), a.cols(),
+                   b.rows());
+  return c;
+}
+
+// m spans the dot rows (1, 3, 5) and the packed SAXPY rows (130) of
 // GemmTransB; k is odd, where the unpinned dot rows were partly fused.
-// The last shape is above the 4 MFLOP parallel-dispatch threshold.
+// (1, 129, 5) is the NCM cross-term width and (3, 1025, 512) the widest
+// backbone layer, where the plan kernel runs only its tail rows. The
+// (130, 257, 65) shape is above the 4 MFLOP parallel-dispatch threshold.
 class GemmRoundingTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -175,9 +189,7 @@ TEST_P(GemmRoundingTest, TransBIsUnfusedInOrder) {
   Tensor b = Tensor::RandNormal(Shape::Matrix(n, k), rng);
   const Tensor want = UnfusedTransBReference(a, b);
   EXPECT_TRUE(BitIdentical(MatMulTransB(a, b), want));
-  Tensor serial(Shape::Matrix(m, n));
-  GemmTransBSerial(a.data(), b.data(), serial.data(), m, k, n);
-  EXPECT_TRUE(BitIdentical(serial, want));
+  EXPECT_TRUE(BitIdentical(PlanGemm(a, b), want));
 }
 
 TEST_P(GemmRoundingTest, MatMulIsFusedInOrder) {
@@ -187,9 +199,6 @@ TEST_P(GemmRoundingTest, MatMulIsFusedInOrder) {
   Tensor b = Tensor::RandNormal(Shape::Matrix(k, n), rng);
   const Tensor want = FusedReference(a, b, /*trans_a=*/false);
   EXPECT_TRUE(BitIdentical(MatMul(a, b), want));
-  Tensor serial(Shape::Matrix(m, n));
-  GemmSerial(a.data(), b.data(), serial.data(), m, k, n);
-  EXPECT_TRUE(BitIdentical(serial, want));
 }
 
 TEST_P(GemmRoundingTest, TransAIsFusedInOrder) {
@@ -207,7 +216,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(130, 17, 37),
                       std::make_tuple(130, 33, 24),
                       std::make_tuple(5, 33, 64),
-                      std::make_tuple(130, 257, 65)));
+                      std::make_tuple(130, 257, 65),
+                      std::make_tuple(1, 129, 5),
+                      std::make_tuple(3, 1025, 512)));
+
+// A holds an exact zero at the same p where B holds an Inf (0 * Inf is
+// NaN), plus a finite row that meets the Inf. The unfused reference keeps
+// every term, so each kernel must give NaN exactly where it does: the dot
+// rows (m < 16) and packed rows (m >= 16) of GemmTransB, the kernel behind
+// MatMulTransB, and the plan kernel, which must never skip a zero
+// activation. m = 17 covers four 4-row tiles and a tail row of the packed
+// rows. The raw kernels are called because MatMulTransB's numerics guard
+// aborts on the NaN under PILOTE_DEBUG_NUMERICS.
+TEST(GemmTest, ZeroTimesNonFiniteWeightPropagatesLikeTheReference) {
+  for (int64_t m : {3, 17}) {
+    SCOPED_TRACE("m " + std::to_string(m));
+    const int64_t k = 9;
+    const int64_t n = 20;
+    Rng rng(static_cast<uint64_t>(m));
+    Tensor a = ReluSparse(m, k, rng);
+    Tensor b = Tensor::RandNormal(Shape::Matrix(n, k), rng);
+    b(2, 4) = std::numeric_limits<float>::infinity();
+    b(7, 6) = -std::numeric_limits<float>::infinity();
+    for (int64_t i = 0; i < m; ++i) {
+      a(i, 4) = 0.0f;
+      a(i, 6) = (i % 2 == 0) ? 0.0f : 1.5f;
+    }
+    const Tensor want = UnfusedTransBReference(a, b);
+    ASSERT_TRUE(std::isnan(want(0, 2)));
+    ASSERT_TRUE(std::isnan(want(0, 7)));
+    ASSERT_TRUE(std::isinf(want(1, 7)));
+    Tensor eager(Shape::Matrix(m, n));
+    GemmTransB(a.data(), b.data(), eager.data(), m, k, n);
+    for (const Tensor& got : {eager, PlanGemm(a, b)}) {
+      ASSERT_EQ(got.shape(), want.shape());
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(std::isnan(got(i, j)), std::isnan(want(i, j)))
+              << "(" << i << ", " << j << ")";
+          if (!std::isnan(want(i, j))) {
+            EXPECT_EQ(got(i, j), want(i, j));
+          }
+        }
+      }
+    }
+  }
+}
 
 // Two threads run packed, pool-dispatched MatMulTransB calls on different
 // operands at once. Each result must equal its single-thread value: the
