@@ -1,9 +1,10 @@
 // Class-incremental learning over a stream: the device starts with three
 // activities, then meets two new ones, one after the other. Each new
 // activity arrives as a CONTINUOUS sensor recording that goes through the
-// on-device preprocessing pipeline (denoise -> 1 s segmentation ->
-// 80-feature extraction) before PILOTE integrates it. After every step
-// the program reports accuracy over all classes known so far.
+// on-device preprocessing pipeline (1 s segmentation -> per-window
+// denoise -> 80-feature extraction, har::WindowAssembler) before PILOTE
+// integrates it. After every step the program reports accuracy over all
+// classes known so far.
 //
 // Build & run:  ./build/examples/continual_stream
 #include <cstdio>
@@ -16,6 +17,8 @@
 #include "eval/metrics.h"
 #include "har/har_dataset.h"
 #include "har/preprocessing.h"
+#include "har/window_assembler.h"
+#include "tensor/tensor_ops.h"
 
 using pilote::core::CloudPretrainer;
 using pilote::core::PiloteConfig;
@@ -26,19 +29,24 @@ using pilote::har::ActivityName;
 
 namespace {
 
-// Records `seconds` of the activity and runs the on-device preprocessing.
-pilote::data::Dataset CaptureActivity(pilote::har::SensorSimulator& simulator,
-                                      Activity activity, int seconds) {
+// Records `seconds` of the activity and streams it through the device's
+// window assembler, one sample at a time.
+pilote::data::Dataset CaptureActivity(
+    pilote::har::SensorSimulator& simulator, Activity activity, int seconds,
+    const pilote::core::StreamingOptions& streaming) {
   pilote::har::Recording recording =
       pilote::har::RecordContinuous(simulator, activity, seconds);
-  pilote::har::PreprocessOptions options;
-  pilote::Result<pilote::Tensor> features =
-      pilote::har::PreprocessRecording(recording.samples, options);
-  PILOTE_CHECK(features.ok()) << features.status();
-  std::vector<int> labels(static_cast<size_t>(features->rows()),
-                          ActivityLabel(activity));
-  return pilote::data::Dataset(std::move(features).value(),
-                               std::move(labels));
+  pilote::har::WindowAssembler assembler(streaming.window_length,
+                                         streaming.denoise_half_width);
+  std::vector<pilote::Tensor> rows;
+  pilote::Tensor features;
+  for (int64_t t = 0; t < recording.samples.rows(); ++t) {
+    if (assembler.Append(pilote::RowAt(recording.samples, t), &features)) {
+      rows.push_back(features);
+    }
+  }
+  std::vector<int> labels(rows.size(), ActivityLabel(activity));
+  return pilote::data::Dataset(pilote::ConcatRows(rows), std::move(labels));
 }
 
 void ReportKnownClasses(PiloteLearner& learner,
@@ -63,7 +71,7 @@ int main() {
   PiloteConfig config = PiloteConfig::Small();
   config.exemplars_per_class = 80;
 
-  // The same preprocessing (denoise -> segment -> features) runs on the
+  // The same preprocessing (segment -> denoise -> features) runs on the
   // cloud and on the edge — the paper's Sec 5 requirement — so the cloud
   // corpus and the test stream go through CaptureActivity too.
   pilote::har::SensorSimulator cloud_sensors(31337);
@@ -73,7 +81,8 @@ int main() {
   std::vector<pilote::data::Dataset> old_parts;
   for (Activity activity :
        {Activity::kDrive, Activity::kStill, Activity::kWalk}) {
-    old_parts.push_back(CaptureActivity(cloud_sensors, activity, 300));
+    old_parts.push_back(
+        CaptureActivity(cloud_sensors, activity, 300, config.streaming));
   }
   pilote::data::Dataset d_old = pilote::data::Dataset::Concat(old_parts);
   CloudPretrainer pretrainer(config);
@@ -85,7 +94,8 @@ int main() {
 
   std::vector<pilote::data::Dataset> test_parts;
   for (Activity activity : pilote::har::AllActivities()) {
-    test_parts.push_back(CaptureActivity(cloud_sensors, activity, 60));
+    test_parts.push_back(
+        CaptureActivity(cloud_sensors, activity, 60, config.streaming));
   }
   pilote::data::Dataset test = pilote::data::Dataset::Concat(test_parts);
   std::printf("step 0: shipped with 3 activities\n");
@@ -94,7 +104,7 @@ int main() {
   // ---- The user buys an e-scooter (90 s of riding recorded) ----
   std::printf("\nstep 1: 90 s of 'E-scooter' recorded on the device\n");
   pilote::data::Dataset scooter =
-      CaptureActivity(stream, Activity::kEscooter, 90);
+      CaptureActivity(stream, Activity::kEscooter, 90, config.streaming);
   pilote::Result<pilote::core::TrainReport> learned1 =
       learner.LearnNewClasses(scooter);
   PILOTE_CHECK(learned1.ok()) << learned1.status().ToString();
@@ -105,7 +115,8 @@ int main() {
 
   // ---- The user takes up jogging (60 s recorded) ----
   std::printf("\nstep 2: 60 s of 'Run' recorded on the device\n");
-  pilote::data::Dataset run = CaptureActivity(stream, Activity::kRun, 60);
+  pilote::data::Dataset run =
+      CaptureActivity(stream, Activity::kRun, 60, config.streaming);
   pilote::Result<pilote::core::TrainReport> learned2 =
       learner.LearnNewClasses(run);
   PILOTE_CHECK(learned2.ok()) << learned2.status().ToString();

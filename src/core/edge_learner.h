@@ -105,7 +105,7 @@ class EdgeLearner {
   // classes yet). Equals model_version() whenever a plan is live.
   int64_t plan_version() const { return plan_ ? plan_->version() : -1; }
   // The live compiled plan, or nullptr when predictions run eagerly.
-  // Shared so tests and profilers can replay it directly.
+  // Shared so tests can replay it directly.
   std::shared_ptr<const exec::InferencePlan> inference_plan() const {
     return plan_;
   }

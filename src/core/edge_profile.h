@@ -28,16 +28,6 @@ struct EdgeProfileReport {
   // measured via common/alloc_tracker.h. Steady-state churn, the edge
   // budget the hot-path lint enforces statically.
   double inference_allocs_per_window = 0.0;
-  // Compiled-plan vs eager-tape execution, side by side over the same
-  // probe rows (src/exec/). exec_plan_* stay NaN when the learner has no
-  // live plan (capture disabled or unsupported); the eager columns are
-  // always measured so the pair quantifies what compilation buys.
-  bool exec_plan_live = false;
-  double exec_plan_ms_per_window = std::numeric_limits<double>::quiet_NaN();
-  double exec_eager_ms_per_window = 0.0;
-  double exec_plan_allocs_per_window =
-      std::numeric_limits<double>::quiet_NaN();
-  double exec_eager_allocs_per_window = 0.0;
   // NaN until the learner has trained (ToString prints "n/a").
   double train_epoch_seconds = std::numeric_limits<double>::quiet_NaN();
 

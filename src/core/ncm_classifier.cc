@@ -1,7 +1,6 @@
 #include "core/ncm_classifier.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/macros.h"
 #include "exec/plan_builder.h"
@@ -102,31 +101,9 @@ void NcmClassifier::RebuildCache() {
 
 Tensor NcmClassifier::DistanceMatrix(const Tensor& embeddings) const {
   PILOTE_CHECK(!prototypes_.empty()) << "no prototypes registered";
-  const Tensor& protos = proto_matrix_;
-  switch (distance_) {
-    case NcmDistance::kSquaredEuclidean:
-      // The cached norms are RowSquaredNorm(protos) verbatim, so this is
-      // bit-identical to the uncached two-argument overload.
-      return PairwiseSquaredDistance(embeddings, protos, proto_sq_norms_);
-    case NcmDistance::kCosine: {
-      // 1 - <x, mu> / (||x|| ||mu||); degenerate zero vectors score 1.
-      // hotpath-ok: per-call GEMM temporaries of the cosine metric
-      Tensor dots = MatMulTransB(embeddings, protos);
-      Tensor x_norm = RowSquaredNorm(embeddings);  // hotpath-ok: ditto
-      const Tensor& p_norm = proto_sq_norms_;
-      Tensor out(dots.shape());  // hotpath-ok: the per-call output
-      for (int64_t i = 0; i < dots.rows(); ++i) {
-        for (int64_t j = 0; j < dots.cols(); ++j) {
-          const float denom = std::sqrt(x_norm[i] * p_norm[j]);
-          out(i, j) =
-              denom > 1e-12f ? 1.0f - dots(i, j) / denom : 1.0f;
-        }
-      }
-      return out;
-    }
-  }
-  PILOTE_CHECK(false) << "unreachable";
-  return Tensor();  // hotpath-ok: unreachable
+  // The cached norms are RowSquaredNorm(proto_matrix_) verbatim, so this
+  // is bit-identical to the uncached two-argument overload.
+  return PairwiseSquaredDistance(embeddings, proto_matrix_, proto_sq_norms_);
 }
 
 std::vector<int> NcmClassifier::Predict(const Tensor& embeddings) const {
@@ -147,10 +124,6 @@ Status NcmClassifier::CapturePredict(exec::PlanBuilder& plan,
                                      exec::ValueRef embeddings) const {
   if (prototypes_.empty()) {
     return Status::FailedPrecondition("no prototypes registered");
-  }
-  if (distance_ != NcmDistance::kSquaredEuclidean) {
-    return Status::Unimplemented(
-        "compiled predict supports squared Euclidean only");
   }
   exec::ValueRef distances =
       plan.SquaredDistances(embeddings, proto_matrix_, proto_sq_norms_);

@@ -16,21 +16,12 @@ struct ValueRef;
 
 namespace core {
 
-// Distance used between an embedding and a prototype.
-enum class NcmDistance {
-  kSquaredEuclidean,  // the paper's Eq. 1
-  kCosine,            // 1 - cos(x, mu); scale-invariant alternative
-};
-
 // Nearest-class-mean classifier over class prototypes (paper Eq. 1):
-//   y* = argmin_y dist(phi(x), mu_y),  mu_y = mean of class-y exemplar
+//   y* = argmin_y ||phi(x) - mu_y||^2,  mu_y = mean of class-y exemplar
 // embeddings. Works purely in the embedding space; the caller supplies the
 // embeddings (see core::Embed).
 class NcmClassifier {
  public:
-  explicit NcmClassifier(NcmDistance distance = NcmDistance::kSquaredEuclidean)
-      : distance_(distance) {}
-
   // Registers (or replaces) the prototype of `label`.
   void SetPrototype(int label, Tensor prototype);
 
@@ -57,17 +48,14 @@ class NcmClassifier {
   // Nearest-prototype label per row of `embeddings` [n, d].
   PILOTE_HOT_PATH std::vector<int> Predict(const Tensor& embeddings) const;
 
-  // Distance of each row to each prototype under the configured metric,
-  // columns ordered as Labels() -> [n, k].
+  // Squared Euclidean distance of each row to each prototype, columns
+  // ordered as Labels() -> [n, k].
   PILOTE_HOT_PATH Tensor DistanceMatrix(const Tensor& embeddings) const;
-
-  NcmDistance distance() const { return distance_; }
 
   // Records the classify tail (distances + argmin over Labels()) onto a
   // compiled inference plan, reading the cached prototype matrix and norms
   // so the plan is bit-identical to Predict(). Returns kFailedPrecondition
-  // with no prototypes and kUnimplemented for the cosine metric (callers
-  // fall back to the eager path).
+  // with no prototypes (callers fall back to the eager path).
   Status CapturePredict(exec::PlanBuilder& plan,
                         exec::ValueRef embeddings) const;
 
@@ -80,7 +68,6 @@ class NcmClassifier {
   // prototype mutation.
   void RebuildCache();
 
-  NcmDistance distance_ = NcmDistance::kSquaredEuclidean;
   std::vector<int> labels_;          // sorted
   std::vector<Tensor> prototypes_;   // aligned with labels_
   // Prototypes stacked into one [k, d] matrix plus their squared row

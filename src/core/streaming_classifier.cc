@@ -1,8 +1,5 @@
 #include "core/streaming_classifier.h"
 
-#include <algorithm>
-#include <map>
-
 #include "common/timer.h"
 #include "har/feature_extractor.h"
 #include "obs/metrics.h"
@@ -56,27 +53,10 @@ int StreamingClassifier::ClassifyWindow() {
   PILOTE_METRIC_HISTOGRAM("core/stream_window_ms",
                           timer.ElapsedSeconds() * 1e3);
 
-  // hotpath-ok: unbounded raw-label telemetry by design
-  window_history_.push_back(raw);
+  ++windows_classified_;
   recent_.Push(raw);
   current_ = MajorityVote();
   return *current_;
-}
-
-int MajorityVoteLabel(const std::deque<int>& recent) {
-  PILOTE_CHECK(!recent.empty());
-  std::map<int, int> counts;
-  for (int label : recent) ++counts[label];
-  // Ties break toward the most recent label.
-  int best = recent.back();
-  int best_count = 0;
-  for (const auto& [label, count] : counts) {
-    if (count > best_count || (count == best_count && label == recent.back())) {
-      best = label;
-      best_count = count;
-    }
-  }
-  return best;
 }
 
 int StreamingClassifier::MajorityVote() const {

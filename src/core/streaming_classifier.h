@@ -1,7 +1,6 @@
 #ifndef PILOTE_CORE_STREAMING_CLASSIFIER_H_
 #define PILOTE_CORE_STREAMING_CLASSIFIER_H_
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -9,19 +8,10 @@
 #include "common/hot_path.h"
 #include "core/edge_learner.h"
 #include "core/vote_ring.h"
-#include "har/preprocessing.h"
 #include "har/window_assembler.h"
 
 namespace pilote {
 namespace core {
-
-// Majority label over the trailing window of raw labels; ties break toward
-// the most recent label. Reference implementation of the vote semantics:
-// the hot paths (StreamingClassifier and the serving layer's sessions) use
-// the allocation-free core::VoteRing, whose agreement with this function
-// is pinned by test so the smoothing semantics cannot diverge. CHECKs
-// against an empty history.
-int MajorityVoteLabel(const std::deque<int>& recent);
 
 // On-device streaming inference: consumes the raw sensor stream sample by
 // sample, runs the paper's preprocessing (denoise + 1 s segmentation +
@@ -52,11 +42,8 @@ class StreamingClassifier {
   // Most recent smoothed prediction (NotFound before the first window).
   Result<int> CurrentActivity() const;
 
-  // Raw (unsmoothed) per-window labels seen so far.
-  const std::vector<int>& window_history() const { return window_history_; }
-  int64_t windows_classified() const {
-    return static_cast<int64_t>(window_history_.size());
-  }
+  // Windows classified since construction.
+  int64_t windows_classified() const { return windows_classified_; }
 
  private:
   int ClassifyWindow();
@@ -67,7 +54,7 @@ class StreamingClassifier {
   har::WindowAssembler assembler_;  // preallocated current-window buffer
   VoteRing recent_;                 // last vote_window raw labels
   Tensor features_;                 // [1, kNumFeatures] scratch, reused
-  std::vector<int> window_history_;
+  int64_t windows_classified_ = 0;
   std::optional<int> current_;
 };
 

@@ -13,11 +13,11 @@ namespace core {
 // on the serve hot path. Pushing past capacity evicts the oldest label, so
 // the ring always holds the trailing vote window.
 //
-// MajorityLabel() must agree label-for-label with core::MajorityVoteLabel
-// (the deque reference implementation kept in streaming_classifier.h);
-// streaming_test pins the equivalence. The vote is O(size^2) compares over
-// a handful of ints — cheaper than a map for any realistic vote window,
-// and heap-free, which is what the hot-path discipline cares about.
+// MajorityLabel() must agree label-for-label with the deque + std::map
+// reference vote in tests/core_test.cc (VoteRingTest pins the
+// equivalence). The vote is O(size^2) compares over a handful of ints —
+// cheaper than a map for any realistic vote window, and heap-free, which
+// is what the hot-path discipline cares about.
 class VoteRing {
  public:
   explicit VoteRing(int capacity) {
@@ -40,7 +40,7 @@ class VoteRing {
   int capacity() const { return static_cast<int>(labels_.size()); }
 
   // Majority label over the ring; ties break toward the most recent label,
-  // then toward the smallest label (MajorityVoteLabel's exact semantics).
+  // then toward the smallest label (the reference vote's exact semantics).
   // CHECKs against an empty ring.
   int MajorityLabel() const {
     PILOTE_CHECK_GT(size_, 0);

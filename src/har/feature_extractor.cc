@@ -86,16 +86,6 @@ void ExtractFeaturesInto(const Tensor& window, Tensor* features) {
   FillFeatures(window, features->span());
 }
 
-Tensor ExtractFeaturesBatch(const std::vector<Tensor>& windows) {
-  PILOTE_CHECK(!windows.empty());
-  Tensor batch(Shape::Matrix(static_cast<int64_t>(windows.size()),
-                             kNumFeatures));
-  for (size_t i = 0; i < windows.size(); ++i) {
-    FillFeatures(windows[i], batch.row_span(static_cast<int64_t>(i)));
-  }
-  return batch;
-}
-
 const std::vector<std::string>& FeatureNames() {
   static const std::vector<std::string>* names = [] {
     auto* result = new std::vector<std::string>();

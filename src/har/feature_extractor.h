@@ -29,9 +29,6 @@ Tensor ExtractFeatures(const Tensor& window);
 PILOTE_HOT_PATH void ExtractFeaturesInto(const Tensor& window,
                                          Tensor* features);
 
-// Batch version: stacks ExtractFeatures over a list of windows.
-Tensor ExtractFeaturesBatch(const std::vector<Tensor>& windows);
-
 // Stable names ("acc_x_mean", "acc_x_var", ..., "gyro_y_jerk_var", ...)
 // aligned with the output order of ExtractFeatures.
 const std::vector<std::string>& FeatureNames();

@@ -2,22 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/macros.h"
-#include "har/feature_extractor.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
 namespace har {
-
-Tensor DenoiseMovingAverage(const Tensor& recording, int half_width) {
-  PILOTE_CHECK_EQ(recording.rank(), 2);
-  PILOTE_CHECK_GE(half_width, 0);
-  if (half_width == 0) return recording;
-  Tensor smoothed;
-  DenoiseMovingAverageInto(recording, half_width, &smoothed);
-  return smoothed;
-}
 
 void DenoiseMovingAverageInto(const Tensor& recording, int half_width,
                               Tensor* out) {
@@ -50,25 +41,6 @@ void DenoiseMovingAverageInto(const Tensor& recording, int half_width,
   }
 }
 
-Result<std::vector<Tensor>> SegmentWindows(const Tensor& recording,
-                                           int window_length, int stride) {
-  PILOTE_CHECK_EQ(recording.rank(), 2);
-  PILOTE_CHECK_GT(window_length, 0);
-  PILOTE_CHECK_GT(stride, 0);
-  if (recording.rows() < window_length) {
-    return Status::InvalidArgument(
-        "recording shorter than one window: " +
-        std::to_string(recording.rows()) + " < " +
-        std::to_string(window_length));
-  }
-  std::vector<Tensor> windows;
-  for (int64_t begin = 0; begin + window_length <= recording.rows();
-       begin += stride) {
-    windows.push_back(SliceRows(recording, begin, begin + window_length));
-  }
-  return windows;
-}
-
 Recording RecordContinuous(SensorSimulator& simulator, Activity activity,
                            int num_windows) {
   PILOTE_CHECK_GT(num_windows, 0);
@@ -94,15 +66,6 @@ Recording RecordContinuous(SensorSimulator& simulator, Activity activity,
   recording.samples = ConcatRows(chunks);
   recording.activity = activity;
   return recording;
-}
-
-Result<Tensor> PreprocessRecording(const Tensor& recording,
-                                   const PreprocessOptions& options) {
-  Tensor denoised = DenoiseMovingAverage(recording, options.denoise_half_width);
-  PILOTE_ASSIGN_OR_RETURN(
-      std::vector<Tensor> windows,
-      SegmentWindows(denoised, options.window_length, options.stride));
-  return ExtractFeaturesBatch(windows);
 }
 
 }  // namespace har

@@ -1,9 +1,6 @@
 #ifndef PILOTE_HAR_PREPROCESSING_H_
 #define PILOTE_HAR_PREPROCESSING_H_
 
-#include <vector>
-
-#include "common/result.h"
 #include "common/hot_path.h"
 #include "har/activity.h"
 #include "har/sensor_simulator.h"
@@ -13,27 +10,17 @@ namespace pilote {
 namespace har {
 
 // The paper's edge-side preprocessing (Sec 5, Figure 3): the raw sensor
-// stream is denoised, segmented into one-second windows and normalized,
-// all in linear time, before feature extraction.
+// stream is segmented into one-second windows, each denoised and reduced
+// to features in linear time. har::WindowAssembler runs that pipeline one
+// sample at a time; this header holds its denoise kernel and the
+// continuous recordings that feed it.
 
 // Centered moving-average smoothing of each channel of a [t, c] recording
-// (odd window size; ends use the available neighborhood). half_width = 0
-// returns the input unchanged.
-Tensor DenoiseMovingAverage(const Tensor& recording, int half_width);
-
-// In-place variant for the serve hot loop: writes the smoothed recording
-// into *out (resized on first use; no allocation once the shape matches).
-// half_width = 0 copies the input. Bit-identical to DenoiseMovingAverage.
+// (odd window size; ends use the available neighborhood), written into
+// *out (resized on first use; no allocation once the shape matches).
+// half_width = 0 copies the input.
 PILOTE_HOT_PATH void DenoiseMovingAverageInto(const Tensor& recording,
                                               int half_width, Tensor* out);
-
-// Splits a [t, c] recording into fixed-length windows with the given
-// stride (stride == window_length -> disjoint windows, the paper's
-// 1-second segmentation; smaller stride -> overlapping windows). Trailing
-// samples that do not fill a window are dropped. Errors if the recording
-// is shorter than one window.
-Result<std::vector<Tensor>> SegmentWindows(const Tensor& recording,
-                                           int window_length, int stride);
 
 // A continuous labeled recording, as produced on the device.
 struct Recording {
@@ -46,17 +33,6 @@ struct Recording {
 // consecutive windows are correlated like a real stream).
 Recording RecordContinuous(SensorSimulator& simulator, Activity activity,
                            int num_windows);
-
-// Full preprocessing pipeline: denoise -> segment -> per-window feature
-// extraction -> [n, kNumFeatures] feature rows.
-struct PreprocessOptions {
-  int denoise_half_width = 1;
-  int window_length = kWindowLength;
-  int stride = kWindowLength;
-};
-
-Result<Tensor> PreprocessRecording(const Tensor& recording,
-                                   const PreprocessOptions& options);
 
 }  // namespace har
 }  // namespace pilote

@@ -51,10 +51,5 @@ int64_t LearnerHandle::NumKnownClasses() const {
   return static_cast<int64_t>(learner_->known_classes().size());
 }
 
-void LearnerHandle::SetCompiledInferenceEnabled(bool enabled) {
-  WriterLock lock(mutex_);
-  learner_->SetCompiledInferenceEnabled(enabled);
-}
-
 }  // namespace serve
 }  // namespace pilote

@@ -61,12 +61,6 @@ class LearnerHandle {
   // Number of classes currently known, under the shared lock.
   int64_t NumKnownClasses() const PILOTE_EXCLUDES(mutex_);
 
-  // Toggles the learner's compiled inference plan under the exclusive
-  // lock (quiescing in-flight predictions, like LearnNewClasses). Serving
-  // is correct either way — bench_serving uses this to measure the
-  // plan-vs-eager throughput delta on identical workloads.
-  void SetCompiledInferenceEnabled(bool enabled) PILOTE_EXCLUDES(mutex_);
-
  private:
   mutable SharedMutex mutex_;
   std::unique_ptr<core::EdgeLearner> learner_ PILOTE_PT_GUARDED_BY(mutex_);

@@ -1,15 +1,16 @@
 #include <cmath>
 #include <deque>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "common/rng.h"
 #include "core/edge_profile.h"
 #include "core/embedding.h"
 #include "core/exemplar_selector.h"
 #include "core/ncm_classifier.h"
-#include "core/streaming_classifier.h"
 #include "core/support_set.h"
 #include "core/vote_ring.h"
 #include "nn/backbone.h"
@@ -66,38 +67,6 @@ TEST(NcmClassifierTest, UnknownLabelIsFatal) {
   EXPECT_DEATH(ncm.prototype(9), "no prototype");
 }
 
-TEST(NcmClassifierTest, CosineDistanceIsScaleInvariant) {
-  NcmClassifier ncm(NcmDistance::kCosine);
-  ncm.SetPrototype(0, Tensor(Shape::Vector(2), {1.0f, 0.0f}));
-  ncm.SetPrototype(1, Tensor(Shape::Vector(2), {0.0f, 1.0f}));
-  // A point along (1, 0.1) is angularly closest to prototype 0 no matter
-  // its magnitude — squared Euclidean would flip for large magnitudes.
-  Tensor small(Shape::Matrix(1, 2), {0.5f, 0.05f});
-  Tensor large(Shape::Matrix(1, 2), {500.0f, 50.0f});
-  EXPECT_EQ(ncm.Predict(small), (std::vector<int>{0}));
-  EXPECT_EQ(ncm.Predict(large), (std::vector<int>{0}));
-}
-
-TEST(NcmClassifierTest, CosineDistanceRange) {
-  NcmClassifier ncm(NcmDistance::kCosine);
-  ncm.SetPrototype(0, Tensor(Shape::Vector(2), {1.0f, 0.0f}));
-  Tensor aligned(Shape::Matrix(3, 2), {2.0f, 0.0f,    // same direction
-                                       0.0f, 3.0f,    // orthogonal
-                                       -1.0f, 0.0f}); // opposite
-  Tensor d = ncm.DistanceMatrix(aligned);
-  EXPECT_NEAR(d(0, 0), 0.0f, 1e-5f);
-  EXPECT_NEAR(d(1, 0), 1.0f, 1e-5f);
-  EXPECT_NEAR(d(2, 0), 2.0f, 1e-5f);
-}
-
-TEST(NcmClassifierTest, ZeroVectorUnderCosineIsNotFavored) {
-  NcmClassifier ncm(NcmDistance::kCosine);
-  ncm.SetPrototype(0, Tensor(Shape::Vector(2), {1.0f, 0.0f}));
-  Tensor zero(Shape::Matrix(1, 2), {0.0f, 0.0f});
-  Tensor d = ncm.DistanceMatrix(zero);
-  EXPECT_FLOAT_EQ(d(0, 0), 1.0f);
-}
-
 TEST(NcmClassifierTest, StorageBytesCountsPrototypes) {
   NcmClassifier ncm;
   ncm.SetPrototype(0, Tensor(Shape::Vector(128)));
@@ -106,6 +75,24 @@ TEST(NcmClassifierTest, StorageBytesCountsPrototypes) {
 }
 
 // ---------------------------------------------------------------- Herding
+
+// Reference majority vote over the trailing window of raw labels: a
+// std::map histogram over a std::deque, ties broken toward the most recent
+// label. The allocation-free VoteRing must agree with it label for label.
+int MajorityVoteLabel(const std::deque<int>& recent) {
+  PILOTE_CHECK(!recent.empty());
+  std::map<int, int> counts;
+  for (int label : recent) ++counts[label];
+  int best = recent.back();
+  int best_count = 0;
+  for (const auto& [label, count] : counts) {
+    if (count > best_count || (count == best_count && label == recent.back())) {
+      best = label;
+      best_count = count;
+    }
+  }
+  return best;
+}
 
 TEST(VoteRingTest, MatchesReferenceMajorityVote) {
   // The allocation-free ring must agree with the std::deque reference

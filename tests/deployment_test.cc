@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_tracker.h"
 #include "core/artifact_io.h"
 #include "core/cloud.h"
 #include "core/edge_learner.h"
 #include "core/streaming_classifier.h"
 #include "har/har_dataset.h"
 #include "har/preprocessing.h"
+#include "har/window_assembler.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
@@ -163,17 +165,21 @@ TEST_F(DeploymentTest, StreamingClassifierRecognizesActivities) {
 }
 
 TEST_F(DeploymentTest, MajorityVoteSuppressesIsolatedFlips) {
-  // Feed windows one sample at a time; the per-window history may contain
-  // isolated flips, but the smoothed stream must flip strictly less often.
+  // The same recording through a raw stream (vote_window = 1) and a
+  // smoothed one: the raw labels may contain isolated flips, but the
+  // smoothed stream must flip no more often.
   PretrainedLearner learner(state_->artifact, state_->config);
+  StreamingClassifier::Options raw_options;
+  raw_options.vote_window = 1;
+  StreamingClassifier raw_stream(&learner, raw_options);
   StreamingClassifier::Options smoothed_options;
   smoothed_options.vote_window = 5;
-  StreamingClassifier classifier(&learner, smoothed_options);
+  StreamingClassifier smoothed_stream(&learner, smoothed_options);
 
   har::SensorSimulator sensors(79);
   har::Recording walk = har::RecordContinuous(sensors, Activity::kWalk, 8);
-  std::vector<int> smoothed = classifier.PushBlock(walk.samples);
-  const std::vector<int>& raw = classifier.window_history();
+  std::vector<int> raw = raw_stream.PushBlock(walk.samples);
+  std::vector<int> smoothed = smoothed_stream.PushBlock(walk.samples);
   ASSERT_EQ(raw.size(), smoothed.size());
 
   auto transitions = [](const std::vector<int>& seq) {
@@ -194,6 +200,8 @@ TEST_F(DeploymentTest, PushSampleValidatesShape) {
 }
 
 TEST_F(DeploymentTest, VoteWindowOneIsRawStream) {
+  // With vote_window = 1 every emitted label is the learner's own label
+  // for that window's features, assembled exactly as the stream does.
   PretrainedLearner learner(state_->artifact, state_->config);
   StreamingClassifier::Options options;
   options.vote_window = 1;
@@ -202,7 +210,53 @@ TEST_F(DeploymentTest, VoteWindowOneIsRawStream) {
   har::Recording recording =
       har::RecordContinuous(sensors, Activity::kEscooter, 4);
   std::vector<int> predictions = classifier.PushBlock(recording.samples);
-  EXPECT_EQ(predictions, classifier.window_history());
+
+  har::WindowAssembler assembler(options.window_length,
+                                 options.denoise_half_width);
+  Tensor features;
+  std::vector<int> per_window;
+  for (int64_t t = 0; t < recording.samples.rows(); ++t) {
+    if (assembler.Append(RowAt(recording.samples, t), &features)) {
+      per_window.push_back(learner.Predict(features).front());
+    }
+  }
+  ASSERT_EQ(per_window.size(), 4u);
+  EXPECT_EQ(predictions, per_window);
+}
+
+TEST_F(DeploymentTest, PushSampleAllocationsStayFlatOverLongStreams) {
+  // A device streams for its whole uptime, so every window must cost the
+  // allocator the same fixed count: nothing may grow with the number of
+  // windows classified (a per-window history would reallocate at each
+  // doubling).
+  PretrainedLearner learner(state_->artifact, state_->config);
+  StreamingClassifier::Options options;
+  StreamingClassifier classifier(&learner, options);
+  har::SensorSimulator sensors(81);
+  har::Recording recording =
+      har::RecordContinuous(sensors, Activity::kWalk, 1);
+  std::vector<Tensor> samples;
+  for (int64_t t = 0; t < recording.samples.rows(); ++t) {
+    samples.push_back(RowAt(recording.samples, t));
+  }
+  auto push_windows = [&classifier, &samples](int windows) {
+    for (int w = 0; w < windows; ++w) {
+      for (const Tensor& sample : samples) classifier.PushSample(sample);
+    }
+  };
+  alloc::ScopedTracking track_allocs;
+  push_windows(3);  // warm-up: scratch buffers and the plan's arena
+
+  alloc::AllocationScope one_window;
+  push_windows(1);
+  const int64_t per_window = one_window.count();
+
+  constexpr int kWindows = 1024;
+  alloc::AllocationScope many_windows;
+  push_windows(kWindows);
+  EXPECT_EQ(many_windows.count(), kWindows * per_window)
+      << "per-window allocations grew over " << kWindows << " windows";
+  EXPECT_EQ(classifier.windows_classified(), 3 + 1 + kWindows);
 }
 
 }  // namespace

@@ -165,18 +165,6 @@ TEST(PlanBuilderTest, FinishWithoutAnyStepsFails) {
   EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(PlanBuilderTest, CosineClassifyTailIsUnimplemented) {
-  core::NcmClassifier cosine(core::NcmDistance::kCosine);
-  cosine.SetPrototype(0, Tensor(Shape::Vector(2), {1.0f, 0.0f}));
-  exec::PlanBuilder builder;
-  exec::ValueRef x = builder.DeclareInput(2);
-  Tensor bias = Tensor::Ones(Shape::Vector(2));
-  x = builder.BiasAdd(x, bias);
-  builder.MarkOutput(x);
-  Status tail = cosine.CapturePredict(builder, x);
-  EXPECT_EQ(tail.code(), StatusCode::kUnimplemented);
-}
-
 // ---------------------------------------------------------- executor
 
 TEST(ExecutorTest, ReplaysHandBuiltPlanNumerically) {

@@ -328,16 +328,6 @@ TEST(FeatureExtractorTest, KnownMeanVariance) {
   EXPECT_NEAR(features[1], 1.0f, 1e-5f);
 }
 
-TEST(FeatureExtractorTest, BatchMatchesSingle) {
-  SensorSimulator sim(9);
-  std::vector<Tensor> windows = {sim.GenerateWindow(Activity::kWalk),
-                                 sim.GenerateWindow(Activity::kDrive)};
-  Tensor batch = ExtractFeaturesBatch(windows);
-  EXPECT_EQ(batch.rows(), 2);
-  EXPECT_TRUE(AllClose(RowAt(batch, 0), ExtractFeatures(windows[0])));
-  EXPECT_TRUE(AllClose(RowAt(batch, 1), ExtractFeatures(windows[1])));
-}
-
 TEST(FeatureExtractorTest, WrongChannelCountIsFatal) {
   Tensor window(Shape::Matrix(kWindowLength, 5));
   EXPECT_DEATH(ExtractFeatures(window), "CHECK failed");

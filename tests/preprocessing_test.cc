@@ -1,27 +1,50 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "har/feature_extractor.h"
 #include "har/preprocessing.h"
 #include "har/sensor_simulator.h"
+#include "har/window_assembler.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
 namespace har {
 namespace {
 
+Tensor Denoise(const Tensor& recording, int half_width) {
+  Tensor out;
+  DenoiseMovingAverageInto(recording, half_width, &out);
+  return out;
+}
+
+// Streams `recording` through a WindowAssembler and returns one raw
+// feature row per completed window.
+std::vector<Tensor> AssembleFeatures(const Tensor& recording,
+                                     int denoise_half_width) {
+  WindowAssembler assembler(kWindowLength, denoise_half_width);
+  std::vector<Tensor> rows;
+  Tensor features;
+  for (int64_t t = 0; t < recording.rows(); ++t) {
+    if (assembler.Append(RowAt(recording, t), &features)) {
+      rows.push_back(features);
+    }
+  }
+  return rows;
+}
+
 TEST(DenoiseTest, ZeroHalfWidthIsIdentity) {
   Tensor recording(Shape::Matrix(10, 3), 2.0f);
   recording(4, 1) = 100.0f;
-  Tensor out = DenoiseMovingAverage(recording, 0);
+  Tensor out = Denoise(recording, 0);
   EXPECT_TRUE(AllClose(out, recording, 0.0f, 0.0f));
 }
 
 TEST(DenoiseTest, SmoothsASpike) {
   Tensor recording(Shape::Matrix(9, 1), 0.0f);
   recording(4, 0) = 9.0f;
-  Tensor out = DenoiseMovingAverage(recording, 1);
+  Tensor out = Denoise(recording, 1);
   EXPECT_FLOAT_EQ(out(4, 0), 3.0f);  // (0 + 9 + 0) / 3
   EXPECT_FLOAT_EQ(out(3, 0), 3.0f);
   EXPECT_FLOAT_EQ(out(2, 0), 0.0f);
@@ -29,47 +52,15 @@ TEST(DenoiseTest, SmoothsASpike) {
 
 TEST(DenoiseTest, PreservesConstantSignal) {
   Tensor recording(Shape::Matrix(20, 2), 5.0f);
-  Tensor out = DenoiseMovingAverage(recording, 3);
+  Tensor out = Denoise(recording, 3);
   EXPECT_TRUE(AllClose(out, recording));
 }
 
 TEST(DenoiseTest, EdgesUseAvailableNeighborhood) {
   Tensor recording(Shape::Matrix(4, 1), {0.0f, 4.0f, 4.0f, 0.0f});
-  Tensor out = DenoiseMovingAverage(recording, 1);
+  Tensor out = Denoise(recording, 1);
   EXPECT_FLOAT_EQ(out(0, 0), 2.0f);  // (0 + 4) / 2
   EXPECT_FLOAT_EQ(out(3, 0), 2.0f);
-}
-
-TEST(SegmentTest, DisjointWindowsCoverRecording) {
-  Tensor recording(Shape::Matrix(360, kNumChannels));
-  for (int64_t t = 0; t < 360; ++t) recording(t, 0) = static_cast<float>(t);
-  auto windows = SegmentWindows(recording, kWindowLength, kWindowLength);
-  ASSERT_TRUE(windows.ok());
-  ASSERT_EQ(windows->size(), 3u);
-  EXPECT_FLOAT_EQ((*windows)[1](0, 0), 120.0f);
-  EXPECT_FLOAT_EQ((*windows)[2](119, 0), 359.0f);
-}
-
-TEST(SegmentTest, OverlappingStride) {
-  Tensor recording(Shape::Matrix(240, kNumChannels));
-  auto windows = SegmentWindows(recording, kWindowLength, 60);
-  ASSERT_TRUE(windows.ok());
-  // Starts at 0, 60, 120: 240 - 120 = 120 last valid start.
-  EXPECT_EQ(windows->size(), 3u);
-}
-
-TEST(SegmentTest, DropsTrailingPartialWindow) {
-  Tensor recording(Shape::Matrix(250, kNumChannels));
-  auto windows = SegmentWindows(recording, kWindowLength, kWindowLength);
-  ASSERT_TRUE(windows.ok());
-  EXPECT_EQ(windows->size(), 2u);
-}
-
-TEST(SegmentTest, TooShortRecordingIsInvalidArgument) {
-  Tensor recording(Shape::Matrix(50, kNumChannels));
-  auto windows = SegmentWindows(recording, kWindowLength, kWindowLength);
-  EXPECT_FALSE(windows.ok());
-  EXPECT_EQ(windows.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RecordContinuousTest, ProducesRequestedLength) {
@@ -83,46 +74,28 @@ TEST(RecordContinuousTest, ProducesRequestedLength) {
 TEST(PreprocessTest, EndToEndShapes) {
   SensorSimulator simulator(2);
   Recording recording = RecordContinuous(simulator, Activity::kRun, 5);
-  PreprocessOptions options;
-  auto features = PreprocessRecording(recording.samples, options);
-  ASSERT_TRUE(features.ok()) << features.status();
-  EXPECT_EQ(features->rows(), 5);
-  EXPECT_EQ(features->cols(), kNumFeatures);
+  std::vector<Tensor> features =
+      AssembleFeatures(recording.samples, /*denoise_half_width=*/1);
+  ASSERT_EQ(features.size(), 5u);
+  for (const Tensor& row : features) {
+    EXPECT_EQ(row.rows(), 1);
+    EXPECT_EQ(row.cols(), kNumFeatures);
+  }
 }
 
 TEST(PreprocessTest, DenoisingReducesVarianceFeatures) {
   // Single-episode recording: within one episode the accelerometer is
   // stationary, so smoothing can only remove high-frequency noise.
-  // (Across episode boundaries a gravity step would be smeared INTO the
-  // neighboring windows and raise their variance — by design.)
   SensorSimulator simulator(3);
   Recording recording = RecordContinuous(simulator, Activity::kStill, 1);
-  PreprocessOptions raw_options;
-  raw_options.denoise_half_width = 0;
-  PreprocessOptions smooth_options;
-  smooth_options.denoise_half_width = 3;
-  auto raw = PreprocessRecording(recording.samples, raw_options);
-  auto smooth = PreprocessRecording(recording.samples, smooth_options);
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(smooth.ok());
+  std::vector<Tensor> raw =
+      AssembleFeatures(recording.samples, /*denoise_half_width=*/0);
+  std::vector<Tensor> smooth =
+      AssembleFeatures(recording.samples, /*denoise_half_width=*/3);
+  ASSERT_EQ(raw.size(), 1u);
+  ASSERT_EQ(smooth.size(), 1u);
   // Variance of the accelerometer x channel (feature index 1) must drop.
-  double raw_var = 0.0;
-  double smooth_var = 0.0;
-  for (int64_t i = 0; i < raw->rows(); ++i) {
-    raw_var += (*raw)(i, 1);
-    smooth_var += (*smooth)(i, 1);
-  }
-  EXPECT_LT(smooth_var, raw_var);
-}
-
-TEST(PreprocessTest, OverlappingWindowsYieldMoreRows) {
-  SensorSimulator simulator(4);
-  Recording recording = RecordContinuous(simulator, Activity::kDrive, 4);
-  PreprocessOptions overlapping;
-  overlapping.stride = kWindowLength / 2;
-  auto features = PreprocessRecording(recording.samples, overlapping);
-  ASSERT_TRUE(features.ok());
-  EXPECT_EQ(features->rows(), 7);  // starts at 0,60,...,360
+  EXPECT_LT(smooth[0](0, 1), raw[0](0, 1));
 }
 
 }  // namespace

@@ -245,11 +245,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------------------- NCM sweep
 
-class NcmMetricTest : public ::testing::TestWithParam<core::NcmDistance> {};
-
-TEST_P(NcmMetricTest, PredictionsAreAlwaysRegisteredLabels) {
+TEST(NcmMetricTest, PredictionsAreAlwaysRegisteredLabels) {
   Rng rng(17);
-  core::NcmClassifier ncm(GetParam());
+  core::NcmClassifier ncm;
   for (int label : {2, 5, 9}) {
     ncm.SetPrototype(label, Tensor::RandNormal(Shape::Vector(4), rng));
   }
@@ -259,9 +257,9 @@ TEST_P(NcmMetricTest, PredictionsAreAlwaysRegisteredLabels) {
   }
 }
 
-TEST_P(NcmMetricTest, PrototypeItselfIsItsNearestClass) {
+TEST(NcmMetricTest, PrototypeItselfIsItsNearestClass) {
   Rng rng(18);
-  core::NcmClassifier ncm(GetParam());
+  core::NcmClassifier ncm;
   std::vector<int> labels = {0, 1, 2, 3};
   std::vector<Tensor> prototypes;
   for (int label : labels) {
@@ -274,11 +272,6 @@ TEST_P(NcmMetricTest, PrototypeItselfIsItsNearestClass) {
     EXPECT_EQ(ncm.Predict(query).front(), labels[i]);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Metrics, NcmMetricTest,
-                         ::testing::Values(
-                             core::NcmDistance::kSquaredEuclidean,
-                             core::NcmDistance::kCosine));
 
 // ------------------------------------------------------- Rollback sweep
 

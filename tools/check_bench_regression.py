@@ -16,12 +16,9 @@ Keys are classified by name:
     delta — these are already normalized). Higher is always fine.
   * forgetting quantities (substring "forgetting"): lower is better;
     gated from ABOVE at baseline + quality_tolerance.
-  * tail-latency quantities (substring "_p99" or "_p999"): windowed
-    request-latency percentiles from the telemetry plane. Printed with a
-    "tail" marker so CI logs surface latency drift, but machine-dependent
-    and never failed on.
-  * everything else (throughput, speedups): machine-dependent, printed
-    for information only and never failed on.
+  * everything else (e.g. bench_serving's batched_window_alloc_rate,
+    which varies with the achieved batch size): printed for information
+    only and never failed on.
 
 Exits 1 when any counted or quality quantity regressed, 0 otherwise.
 Keys present in only one file are reported (missing baseline keys fail: the baseline must
@@ -43,10 +40,6 @@ def is_accuracy(key):
 
 def is_forgetting(key):
     return "forgetting" in key
-
-
-def is_tail_latency(key):
-    return "_p99" in key or "_p999" in key
 
 
 def main():
@@ -105,9 +98,8 @@ def main():
                 print(f"  ok    {key}: {cur:g} (baseline {base:g}){note}")
             continue
         if not is_counted(key):
-            marker = "tail" if is_tail_latency(key) else "info"
-            print(f"  {marker}  {key}: baseline {base:g}, current {cur:g} "
-                  "(machine-dependent, not gated)")
+            print(f"  info  {key}: baseline {base:g}, current {cur:g} "
+                  "(not gated)")
             continue
         limit = base * (1.0 + args.tolerance)
         if cur > limit:
