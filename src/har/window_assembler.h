@@ -10,10 +10,10 @@ namespace har {
 // Streams samples into a preallocated [window_length, kNumChannels] window
 // and runs the paper's per-window preprocessing (denoise + feature
 // extraction) when the window fills. This is the zero-allocation ingest
-// primitive of the serve hot loop: the window and denoise scratch are
+// primitive of the device stream: the window and denoise scratch are
 // allocated once at construction, so the steady state (one Append per
-// sample) never touches the heap. Shared by core::StreamingClassifier and
-// serve::Session so the window semantics cannot diverge.
+// sample) never touches the heap. core::StreamingClassifier is the one
+// stream that windows raw samples; the serving layer takes feature rows.
 //
 // Produces the exact tensors of the original assemble-by-concatenation
 // path: ConcatRows of [1, c] sample rows is the same [t, c] matrix this

@@ -123,8 +123,8 @@ class BatchingEngine {
 
   // Worker liveness (see last_progress_ns()).
   std::atomic<int64_t> last_progress_ns_;
-  // Highest occupied serve/request_ms bucket; the auto slow-window
-  // exemplar threshold when slow_window_ms == 0.
+  // Highest occupied serve/request_ms bucket; the slow-window exemplar
+  // threshold.
   std::atomic<int> top_bucket_{0};
 
   std::thread worker_;  // unguarded: started in ctor, joined in Stop

@@ -7,35 +7,10 @@
 namespace pilote {
 namespace serve {
 
-namespace {
-
-const core::StreamingOptions& Validated(
-    const core::StreamingOptions& options) {
-  Status valid = core::ValidateStreamingOptions(options);
-  PILOTE_CHECK(valid.ok()) << valid.ToString();
-  return options;
-}
-
-}  // namespace
-
 Session::Session(SessionId id, std::shared_ptr<LearnerHandle> learner,
-                 const core::StreamingOptions& options)
-    : id_(id),
-      learner_(std::move(learner)),
-      options_(Validated(options)),
-      assembler_(options_.window_length, options_.denoise_half_width),
-      recent_(options_.vote_window) {
+                 int vote_window)
+    : id_(id), learner_(std::move(learner)), recent_(vote_window) {
   PILOTE_CHECK(learner_ != nullptr);
-}
-
-std::optional<Tensor> Session::AppendSample(const Tensor& sample) {
-  // hotpath-ok: per-session mutex, uncontended in steady state
-  MutexLock lock(mutex_);
-  // The feature row's ownership moves to the predict request, so it is the
-  // one unavoidable per-window allocation on the ingest side.
-  Tensor features;  // hotpath-ok: per-window output, handed to the request
-  if (!assembler_.Append(sample, &features)) return std::nullopt;
-  return features;
 }
 
 int Session::CompleteWindow(int raw_label) {
@@ -43,7 +18,6 @@ int Session::CompleteWindow(int raw_label) {
   MutexLock lock(mutex_);
   recent_.Push(raw_label);
   last_smoothed_ = recent_.MajorityLabel();
-  ++windows_classified_;
   return last_smoothed_;
 }
 
@@ -54,11 +28,6 @@ Prediction Session::LastPrediction() const {
   p.label = last_smoothed_;
   p.degraded = true;
   return p;
-}
-
-int64_t Session::windows_classified() const {
-  MutexLock lock(mutex_);
-  return windows_classified_;
 }
 
 }  // namespace serve

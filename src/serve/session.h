@@ -1,47 +1,33 @@
 #ifndef PILOTE_SERVE_SESSION_H_
 #define PILOTE_SERVE_SESSION_H_
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/thread_annotations.h"
 #include "common/hot_path.h"
-#include "core/config.h"
 #include "core/vote_ring.h"
-#include "har/window_assembler.h"
 #include "serve/learner_handle.h"
 #include "serve/types.h"
-#include "tensor/tensor.h"
 
 namespace pilote {
 namespace serve {
 
-// Per-device stream state: the sample buffer of the in-flight window plus
-// the majority-vote history, mirroring core::StreamingClassifier but split
-// at the window boundary so the classification itself can be batched
-// across sessions. The ingest thread assembles windows (AppendSample);
-// the batching engine delivers labels (CompleteWindow). All state is
-// guarded by one per-session mutex; ordering between the two sides is the
-// engine's FIFO queue.
+// Per-device vote state of one stream of feature windows. Raw samples are
+// windowed on the device (core::StreamingClassifier); a session only
+// smooths the batched labels of the windows it is sent. The batching
+// engine delivers labels (CompleteWindow) in the FIFO order of its queue;
+// a deadline miss reads the last smoothed label (LastPrediction). Both
+// sides take the one per-session mutex.
 class Session {
  public:
   Session(SessionId id, std::shared_ptr<LearnerHandle> learner,
-          const core::StreamingOptions& options);
+          int vote_window);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   SessionId id() const { return id_; }
   const std::shared_ptr<LearnerHandle>& learner() const { return learner_; }
-  const core::StreamingOptions& options() const { return options_; }
-
-  // Feeds one sensor sample [har::kNumChannels]. When the sample completes
-  // a window, runs the paper's preprocessing (denoise + feature
-  // extraction) and returns the [1, kNumFeatures] raw feature row ready
-  // for batched classification.
-  PILOTE_HOT_PATH std::optional<Tensor> AppendSample(const Tensor& sample)
-      PILOTE_EXCLUDES(mutex_);
 
   // Records the raw label of a completed window and returns the smoothed
   // majority-vote label (the stream's user-facing prediction).
@@ -50,20 +36,14 @@ class Session {
   // Last smoothed label, degraded-flagged — what a deadline miss returns.
   Prediction LastPrediction() const PILOTE_EXCLUDES(mutex_);
 
-  int64_t windows_classified() const PILOTE_EXCLUDES(mutex_);
-
  private:
   const SessionId id_;
   const std::shared_ptr<LearnerHandle> learner_;
-  const core::StreamingOptions options_;
 
   mutable Mutex mutex_;
-  // Current-window sample buffer, preallocated (hot-path discipline).
-  har::WindowAssembler assembler_ PILOTE_GUARDED_BY(mutex_);
   // Last vote_window raw labels, fixed-capacity.
   core::VoteRing recent_ PILOTE_GUARDED_BY(mutex_);
   int last_smoothed_ PILOTE_GUARDED_BY(mutex_) = kNoPrediction;
-  int64_t windows_classified_ PILOTE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace serve

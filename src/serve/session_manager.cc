@@ -1,35 +1,36 @@
 #include "serve/session_manager.h"
 
+#include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/macros.h"
-#include "har/sensor_layout.h"
 #include "obs/metrics.h"
-#include "tensor/tensor_ops.h"
 
 namespace pilote {
 namespace serve {
 
+namespace {
+
+// Label values "0".."shards-1" of serve/shard_sessions{shard=...}.
+std::vector<std::string> ShardLabels(size_t shards) {
+  std::vector<std::string> labels;
+  labels.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) labels.push_back(std::to_string(s));
+  return labels;
+}
+
+}  // namespace
+
 SessionManager::SessionManager(const ServeOptions& options)
     : options_(options),
       degraded_(obs::FamilyRegistry::Global().GetCounterFamily(
-          "serve/degraded_total", "reason", {"deadline", "backpressure"})) {
+          "serve/degraded_total", "reason", {"deadline", "backpressure"})),
+      shard_sessions_(obs::FamilyRegistry::Global().GetGaugeFamily(
+          "serve/shard_sessions", "shard", ShardLabels(kNumShards))) {
   Status valid = ValidateServeOptions(options_);
   PILOTE_CHECK(valid.ok()) << valid.ToString();
-  shards_.reserve(static_cast<size_t>(options_.num_shards));
-  for (int s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (options_.num_shards <= static_cast<int>(obs::kMaxLabelValues)) {
-    std::vector<std::string> shard_ids;
-    shard_ids.reserve(static_cast<size_t>(options_.num_shards));
-    for (int s = 0; s < options_.num_shards; ++s) {
-      shard_ids.push_back(std::to_string(s));
-    }
-    shard_sessions_ = obs::FamilyRegistry::Global().GetGaugeFamily(
-        "serve/shard_sessions", "shard", shard_ids);
-  }
   engine_ = std::make_unique<BatchingEngine>(options_);
   watchdog_ = std::make_unique<Watchdog>(engine_.get(), options_);
   watchdog_->Start();
@@ -41,7 +42,7 @@ SessionManager::~SessionManager() {
 }
 
 SessionManager::Shard& SessionManager::ShardFor(SessionId id) {
-  return *shards_[id % shards_.size()];
+  return shards_[id % kNumShards];
 }
 
 Result<std::shared_ptr<Session>> SessionManager::FindSession(SessionId id) {
@@ -55,12 +56,12 @@ Result<std::shared_ptr<Session>> SessionManager::FindSession(SessionId id) {
 }
 
 void SessionManager::UpdateShardGauge(SessionId id) {
-  if (!obs::Enabled() || shard_sessions_.size() == 0) return;
-  const size_t shard_index = id % shards_.size();
+  if (!obs::Enabled()) return;
+  const size_t shard_index = id % kNumShards;
   size_t count;
   {
-    MutexLock lock(shards_[shard_index]->mutex);
-    count = shards_[shard_index]->sessions.size();
+    MutexLock lock(shards_[shard_index].mutex);
+    count = shards_[shard_index].sessions.size();
   }
   shard_sessions_.At(shard_index).Set(static_cast<double>(count));
 }
@@ -73,7 +74,8 @@ Result<SessionId> SessionManager::CreateSession(
   }
   PILOTE_RETURN_IF_ERROR(core::ValidateStreamingOptions(options));
   const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto session = std::make_shared<Session>(id, std::move(learner), options);
+  auto session =
+      std::make_shared<Session>(id, std::move(learner), options.vote_window);
   Shard& shard = ShardFor(id);
   {
     MutexLock lock(shard.mutex);
@@ -109,6 +111,16 @@ Result<std::future<int>> SessionManager::SubmitWindow(SessionId id,
         "SubmitWindow: expected a [1, " + std::to_string(input_dim) +
         "] feature row, got " + features.shape().ToString());
   }
+  // A non-finite feature turns every NCM distance into NaN, and the
+  // argmin over NaN distances returns the first class: reject the row
+  // rather than answer with a confident wrong label.
+  for (int64_t j = 0; j < input_dim; ++j) {
+    if (!std::isfinite(features(0, j))) {
+      return Status::InvalidArgument(
+          "SubmitWindow: non-finite feature " +
+          std::to_string(features(0, j)) + " at column " + std::to_string(j));
+    }
+  }
   PredictRequest request;
   request.session = std::move(session);
   request.features = features;
@@ -142,30 +154,6 @@ Result<Prediction> SessionManager::PushWindow(
   return p;
 }
 
-Result<PushOutcome> SessionManager::PushBlock(
-    SessionId id, const Tensor& samples, std::chrono::microseconds deadline) {
-  if (samples.rank() != 2 || samples.cols() != har::kNumChannels) {
-    return Status::InvalidArgument(
-        "PushBlock: expected [t, " + std::to_string(har::kNumChannels) +
-        "] raw samples, got " + samples.shape().ToString());
-  }
-  PILOTE_ASSIGN_OR_RETURN(std::shared_ptr<Session> session, FindSession(id));
-  PushOutcome outcome;
-  for (int64_t t = 0; t < samples.rows(); ++t) {
-    std::optional<Tensor> window = session->AppendSample(RowAt(samples, t));
-    if (!window.has_value()) continue;
-    Result<Prediction> prediction = PushWindow(id, *window, deadline);
-    if (prediction.ok()) {
-      outcome.predictions.push_back(prediction.value());
-    } else if (prediction.status().code() == StatusCode::kResourceExhausted) {
-      ++outcome.rejected_windows;
-    } else {
-      return prediction.status();
-    }
-  }
-  return outcome;
-}
-
 Result<core::TrainReport> SessionManager::LearnNewClasses(
     SessionId id, const data::Dataset& d_new) {
   PILOTE_ASSIGN_OR_RETURN(std::shared_ptr<Session> session, FindSession(id));
@@ -174,9 +162,9 @@ Result<core::TrainReport> SessionManager::LearnNewClasses(
 
 int64_t SessionManager::NumSessions() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total += static_cast<int64_t>(shard->sessions.size());
+  for (const Shard& shard : shards_) {
+    MutexLock lock(shard.mutex);
+    total += static_cast<int64_t>(shard.sessions.size());
   }
   return total;
 }

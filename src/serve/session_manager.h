@@ -1,12 +1,12 @@
 #ifndef PILOTE_SERVE_SESSION_MANAGER_H_
 #define PILOTE_SERVE_SESSION_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
@@ -24,10 +24,12 @@ namespace pilote {
 namespace serve {
 
 // Multi-session front door of the edge serving layer. Owns per-device
-// sessions behind N-way sharded mutexes (shard = id % num_shards) and one
-// BatchingEngine that coalesces completed windows from every session into
-// batched backbone forwards. Thread-safe: any number of ingest threads may
-// push to distinct or identical sessions concurrently.
+// sessions behind sharded mutexes (shard = id % kNumShards) and one
+// BatchingEngine that coalesces the feature windows of every session into
+// batched backbone forwards. Sessions take feature windows: raw samples
+// are windowed on the device (core::StreamingClassifier). Thread-safe: any
+// number of ingest threads may push to distinct or identical sessions
+// concurrently.
 class SessionManager {
  public:
   explicit SessionManager(const ServeOptions& options);
@@ -37,8 +39,8 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   // Registers a device stream predicting through `learner` (many sessions
-  // may share one handle). kInvalidArgument on a null handle or bad
-  // streaming options.
+  // may share one handle), smoothing labels over options.vote_window.
+  // kInvalidArgument on a null handle or bad streaming options.
   Result<SessionId> CreateSession(std::shared_ptr<LearnerHandle> learner,
                                   const core::StreamingOptions& options);
 
@@ -49,7 +51,8 @@ class SessionManager {
   // Async path: enqueues one completed [1, input_dim] feature window for
   // batched classification and returns a future of the smoothed label.
   // kResourceExhausted when the batching queue is full (backpressure);
-  // kInvalidArgument on a shape mismatch; kNotFound for unknown ids.
+  // kInvalidArgument on a shape mismatch or a non-finite element;
+  // kNotFound for unknown ids.
   Result<std::future<int>> SubmitWindow(SessionId id, const Tensor& features);
 
   // Sync path with a deadline: blocks until the batched prediction lands
@@ -57,12 +60,6 @@ class SessionManager {
   // majority-vote label (kNoPrediction before the first window) with
   // degraded=true. deadline <= 0 waits without bound.
   Result<Prediction> PushWindow(SessionId id, const Tensor& features,
-                                std::chrono::microseconds deadline);
-
-  // Raw-sample convenience: feeds a [t, har::kNumChannels] block through
-  // the session's window assembly, pushing each completed window with
-  // `deadline`. Backpressure-rejected windows are counted, not retried.
-  Result<PushOutcome> PushBlock(SessionId id, const Tensor& samples,
                                 std::chrono::microseconds deadline);
 
   // Incremental update through the session's learner. Takes the learner's
@@ -81,6 +78,12 @@ class SessionManager {
   Watchdog& watchdog() { return *watchdog_; }
 
  private:
+  // Session-table shards; each has its own mutex so concurrent ingest
+  // threads for different devices rarely contend.
+  static constexpr size_t kNumShards = 4;
+  static_assert(kNumShards <= obs::kMaxLabelValues,
+                "serve/shard_sessions needs one label value per shard");
+
   struct Shard {
     mutable Mutex mutex;
     std::unordered_map<SessionId, std::shared_ptr<Session>> sessions
@@ -96,14 +99,13 @@ class SessionManager {
   void UpdateShardGauge(SessionId id);
 
   const ServeOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kNumShards> shards_;
   std::atomic<SessionId> next_id_{1};
   // serve/degraded_total{reason=deadline|backpressure}; the fault reason
   // is counted inside the engine.
   const obs::CounterFamily degraded_;
-  // Per-shard session gauges; empty when num_shards exceeds the bounded
-  // label cardinality (the aggregate serve/sessions_active still updates).
-  obs::GaugeFamily shard_sessions_;
+  // Per-shard session gauges, serve/shard_sessions{shard=...}.
+  const obs::GaugeFamily shard_sessions_;
   // Declared last: the engine stops (draining its queue, which holds
   // shared_ptr<Session> references) before the shards are torn down; the
   // watchdog, which polls the engine, goes first of all.

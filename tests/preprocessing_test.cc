@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_tracker.h"
 #include "har/feature_extractor.h"
 #include "har/preprocessing.h"
 #include "har/sensor_simulator.h"
@@ -96,6 +97,41 @@ TEST(PreprocessTest, DenoisingReducesVarianceFeatures) {
   ASSERT_EQ(smooth.size(), 1u);
   // Variance of the accelerometer x channel (feature index 1) must drop.
   EXPECT_LT(smooth[0](0, 1), raw[0](0, 1));
+}
+
+// The steady-state ingest of the device stream must not touch the heap:
+// the window buffer and denoise scratch are allocated at construction, and
+// the feature row is written into the caller's tensor, which keeps its
+// storage from the first window on.
+TEST(WindowAssemblerTest, SteadyStateAppendDoesNotAllocate) {
+  SensorSimulator simulator(4);
+  Recording recording = RecordContinuous(simulator, Activity::kWalk, 2);
+  WindowAssembler assembler(kWindowLength, /*denoise_half_width=*/1);
+
+  // Warm-up window: sizes the feature row and the denoise scratch.
+  Tensor features;
+  int completed = 0;
+  for (int64_t t = 0; t < kWindowLength; ++t) {
+    if (assembler.Append(RowAt(recording.samples, t), &features)) ++completed;
+  }
+  ASSERT_EQ(completed, 1);
+
+  // Slice the next window's samples up front so the measured region is
+  // Append only.
+  std::vector<Tensor> samples;
+  samples.reserve(static_cast<size_t>(kWindowLength));
+  for (int64_t t = kWindowLength; t < 2 * kWindowLength; ++t) {
+    samples.push_back(RowAt(recording.samples, t));
+  }
+
+  alloc::ScopedTracking tracking;
+  alloc::AllocationScope scope;
+  for (const Tensor& sample : samples) {
+    if (assembler.Append(sample, &features)) ++completed;
+  }
+  EXPECT_EQ(scope.count(), 0) << "steady-state Append allocations regressed";
+  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(features.cols(), kNumFeatures);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <optional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,8 +21,6 @@
 #include "common/rng.h"
 #include "core/cloud.h"
 #include "core/edge_learner.h"
-#include "har/feature_extractor.h"
-#include "har/sensor_layout.h"
 #include "nn/backbone.h"
 #include "obs/metrics.h"
 #include "serialize/io.h"
@@ -158,10 +156,6 @@ TEST(BoundedQueueTest, InterruptRacesConcurrentPushPop) {
 TEST(ServeOptionsTest, ValidateRejectsOutOfRangeValues) {
   ServeOptions options;
   EXPECT_TRUE(ValidateServeOptions(options).ok());
-  options.num_shards = 0;
-  EXPECT_EQ(ValidateServeOptions(options).code(),
-            StatusCode::kInvalidArgument);
-  options = ServeOptions();
   options.max_batch = 0;
   EXPECT_EQ(ValidateServeOptions(options).code(),
             StatusCode::kInvalidArgument);
@@ -290,25 +284,28 @@ TEST(SessionManagerTest, SubmitRejectsWrongShape) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SessionManagerTest, PushBlockAssemblesWindowsFromRawSamples) {
+TEST(SessionManagerTest, SubmitRejectsNonFiniteFeatures) {
   core::PiloteConfig config = TestConfig();
   SessionManager manager(ServeOptions{});
   Result<SessionId> id =
       manager.CreateSession(MakeHandle(config), config.streaming);
   ASSERT_TRUE(id.ok());
-  Rng rng(11);
-  const int64_t rows = 3 * config.streaming.window_length + 5;
-  Tensor samples =
-      Tensor::RandNormal(Shape::Matrix(rows, har::kNumChannels), rng);
-  Result<PushOutcome> outcome =
-      manager.PushBlock(*id, samples, microseconds(0));
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->predictions.size(), 3u);
-  EXPECT_EQ(outcome->rejected_windows, 0);
-  for (const Prediction& p : outcome->predictions) {
-    EXPECT_GE(p.label, 0);
-    EXPECT_FALSE(p.degraded);
+  Rng rng(13);
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity()};
+  for (float bad : kBad) {
+    Tensor window = RandomWindow(config, rng);
+    window(0, config.backbone.input_dim / 2) = bad;
+    Result<std::future<int>> f = manager.SubmitWindow(*id, window);
+    // Accepted, the row's NaN distances argmin to a confident label 0.
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument)
+        << "feature " << bad << " reached the batcher";
   }
+  // The session still serves finite rows.
+  Result<std::future<int>> good =
+      manager.SubmitWindow(*id, RandomWindow(config, rng));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_GE(good.value().get(), 0);
 }
 
 // --------------------------------------------- Batched == unbatched labels
@@ -488,45 +485,6 @@ TEST(SessionManagerTest, DeadlineMissDegradesToLastVote) {
 }
 
 // ------------------------------------------- Hot-path allocation budgets
-
-// Steady-state ingest must not allocate beyond the returned feature row:
-// the window buffer and denoise scratch are preallocated in the assembler,
-// so after the first window the only heap traffic per window is the
-// [1, kNumFeatures] output Tensor handed to the batcher.
-TEST(SessionTest, SteadyStateIngestAllocationsArePinned) {
-  core::PiloteConfig config = TestConfig();
-  Session session(SessionId{1}, MakeHandle(config), config.streaming);
-  Rng rng(7);
-  const int window_length = config.streaming.window_length;
-  auto make_sample = [&] {
-    return Tensor::RandNormal(Shape::Vector(har::kNumChannels), rng);
-  };
-
-  // Warm-up window: allocates the assembler buffers (high-water mark).
-  std::optional<Tensor> features;
-  for (int i = 0; i < window_length; ++i) {
-    features = session.AppendSample(make_sample());
-  }
-  ASSERT_TRUE(features.has_value());
-
-  // Pre-generate the samples so the measured region is ingest only.
-  std::vector<Tensor> samples;
-  samples.reserve(static_cast<size_t>(window_length));
-  for (int i = 0; i < window_length; ++i) samples.push_back(make_sample());
-
-  alloc::ScopedTracking tracking;
-  alloc::AllocationScope scope;
-  features.reset();
-  for (const Tensor& sample : samples) {
-    std::optional<Tensor> out = session.AppendSample(sample);
-    if (out.has_value()) features = std::move(out);
-  }
-  ASSERT_TRUE(features.has_value());
-  ASSERT_EQ(features->cols(), har::kNumFeatures);
-  // One window = one feature-row Tensor (data + dims) plus slack for the
-  // optional plumbing; anything above this means per-sample churn is back.
-  EXPECT_LE(scope.count(), 8) << "steady-state ingest allocations regressed";
-}
 
 // The flush side is pinned through the serve/flush_allocs counter, which
 // the worker thread ticks per batch when tracking is enabled. The batched
