@@ -16,29 +16,29 @@ namespace pilote {
 namespace obs {
 namespace {
 
-// `name` or `name{key="value"}` — the JSON/report key for one series.
+// Path for the at-exit JSON snapshot; leaked (atexit runs during static
+// destruction, so this must not be a destructible static).
+std::string*& ExitJsonPath() {
+  static std::string* path = new std::string();
+  return path;
+}
+
+void WriteMetricsJsonAtExit() {
+  const std::string& path = *ExitJsonPath();
+  if (path.empty()) return;
+  Status status = WriteMetricsJson(path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "--metrics-json: %s\n", status.ToString().c_str());
+  }
+}
+
+}  // namespace
+
 std::string SeriesName(const std::string& name, const std::string& labels) {
   if (labels.empty()) return name;
   return name + "{" + labels + "}";
 }
 
-// pilote_a_b for a metric named a/b (Prometheus name charset).
-std::string PrometheusName(const std::string& name) {
-  std::string out = "pilote_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// JSON-safe rendering of a double (JSON has no NaN/Inf).
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) return "null";
   char buffer[32];
@@ -70,36 +70,28 @@ void AppendJsonString(std::ostringstream& os, const std::string& s) {
   os << '"';
 }
 
-Status WriteStringToFile(const std::string& path, const std::string& body) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
+void AppendHistogramJson(std::ostringstream& os, const HistogramSnapshot& h) {
+  os << "{\"count\":" << h.count << ",\"sum\":" << JsonNumber(h.sum)
+     << ",\"min\":" << JsonNumber(h.min) << ",\"max\":" << JsonNumber(h.max)
+     << ",\"p50\":" << JsonNumber(h.Percentile(0.50))
+     << ",\"p95\":" << JsonNumber(h.Percentile(0.95))
+     << ",\"p99\":" << JsonNumber(h.Percentile(0.99))
+     << ",\"p999\":" << JsonNumber(h.Percentile(0.999)) << "}";
+}
+
+Status WriteStringToFile(const std::string& path, const std::string& body,
+                         bool append) {
+  std::FILE* file = std::fopen(path.c_str(), append ? "a" : "w");
   if (file == nullptr) {
-    return Status::IoError("cannot open metrics output " + path);
+    return Status::IoError("cannot open output " + path);
   }
   const size_t written = std::fwrite(body.data(), 1, body.size(), file);
   const bool closed = std::fclose(file) == 0;
   if (written != body.size() || !closed) {
-    return Status::IoError("cannot write metrics output " + path);
+    return Status::IoError("cannot write output " + path);
   }
   return Status::Ok();
 }
-
-// Path for the at-exit JSON snapshot; leaked (atexit runs during static
-// destruction, so this must not be a destructible static).
-std::string*& ExitJsonPath() {
-  static std::string* path = new std::string();
-  return path;
-}
-
-void WriteMetricsJsonAtExit() {
-  const std::string& path = *ExitJsonPath();
-  if (path.empty()) return;
-  Status status = WriteMetricsJson(path);
-  if (!status.ok()) {
-    std::fprintf(stderr, "--metrics-json: %s\n", status.ToString().c_str());
-  }
-}
-
-}  // namespace
 
 MetricsSnapshot CaptureSnapshot() {
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
@@ -111,41 +103,6 @@ MetricsSnapshot CaptureSnapshot() {
         {stats.name, stats.armed, stats.hits, stats.fires});
   }
   return snapshot;
-}
-
-std::string ToReport(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << "== counters ==\n";
-  for (const CounterSample& c : snapshot.counters) {
-    os << "  " << SeriesName(c.name, c.labels) << " = " << c.value << "\n";
-  }
-  os << "== gauges ==\n";
-  for (const GaugeSample& g : snapshot.gauges) {
-    os << "  " << SeriesName(g.name, g.labels) << " = " << g.value << "\n";
-  }
-  os << "== histograms ==\n";
-  for (const HistogramSample& h : snapshot.histograms) {
-    os << "  " << SeriesName(h.name, h.labels) << ": n=" << h.count
-       << " mean="
-       << (h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0)
-       << " min=" << h.min << " p50=" << h.p50 << " p95=" << h.p95
-       << " p99=" << h.p99 << " p999=" << h.p999 << " max=" << h.max << "\n";
-  }
-  os << "== spans (flat profile) ==\n";
-  for (const SpanSample& s : snapshot.spans) {
-    os << "  " << s.name << ": n=" << s.count << " total=" << s.total_seconds
-       << "s self=" << s.self_seconds << "s\n";
-  }
-  if (!snapshot.failpoints.empty()) {
-    os << "== failpoints ==\n";
-    for (const FailpointSample& f : snapshot.failpoints) {
-      os << "  " << f.name << ": " << (f.armed ? "armed" : "disarmed")
-         << " hits=" << f.hits << " fires=" << f.fires << "\n";
-    }
-  }
-  return os.str();
 }
 
 std::string ToJson(const MetricsSnapshot& snapshot) {
@@ -169,11 +126,8 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     const HistogramSample& h = snapshot.histograms[i];
     os << (i == 0 ? "\n" : ",\n");
     AppendJsonString(os, SeriesName(h.name, h.labels));
-    os << ":{\"count\":" << h.count << ",\"sum\":" << JsonNumber(h.sum)
-       << ",\"min\":" << JsonNumber(h.min) << ",\"max\":" << JsonNumber(h.max)
-       << ",\"p50\":" << JsonNumber(h.p50) << ",\"p95\":" << JsonNumber(h.p95)
-       << ",\"p99\":" << JsonNumber(h.p99)
-       << ",\"p999\":" << JsonNumber(h.p999) << "}";
+    os << ":";
+    AppendHistogramJson(os, h.snapshot);
   }
   os << "},\n\"spans\":{";
   for (size_t i = 0; i < snapshot.spans.size(); ++i) {
@@ -193,67 +147,6 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
        << ",\"hits\":" << f.hits << ",\"fires\":" << f.fires << "}";
   }
   os << "}\n}\n";
-  return os.str();
-}
-
-std::string ToPrometheus(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os.setf(std::ios::fmtflags(0), std::ios::floatfield);
-  os.precision(9);
-  std::string last_family;
-  for (const CounterSample& c : snapshot.counters) {
-    std::string family = PrometheusName(c.name);
-    if (!EndsWith(family, "_total")) family += "_total";
-    if (family != last_family) {
-      os << "# TYPE " << family << " counter\n";
-      last_family = family;
-    }
-    os << family;
-    if (!c.labels.empty()) os << "{" << c.labels << "}";
-    os << " " << c.value << "\n";
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    const std::string family = PrometheusName(g.name);
-    if (family != last_family) {
-      os << "# TYPE " << family << " gauge\n";
-      last_family = family;
-    }
-    os << family;
-    if (!g.labels.empty()) os << "{" << g.labels << "}";
-    os << " " << g.value << "\n";
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    const std::string family = PrometheusName(h.name);
-    if (family != last_family) {
-      os << "# TYPE " << family << " summary\n";
-      last_family = family;
-    }
-    const std::string prefix = h.labels.empty() ? "" : h.labels + ",";
-    os << family << "{" << prefix << "quantile=\"0.5\"} " << h.p50 << "\n";
-    os << family << "{" << prefix << "quantile=\"0.95\"} " << h.p95 << "\n";
-    os << family << "{" << prefix << "quantile=\"0.99\"} " << h.p99 << "\n";
-    os << family << "{" << prefix << "quantile=\"0.999\"} " << h.p999 << "\n";
-    const std::string suffix = h.labels.empty() ? "" : "{" + h.labels + "}";
-    os << family << "_sum" << suffix << " " << h.sum << "\n";
-    os << family << "_count" << suffix << " " << h.count << "\n";
-  }
-  if (!snapshot.failpoints.empty()) {
-    os << "# TYPE pilote_failpoint_armed gauge\n";
-    for (const FailpointSample& f : snapshot.failpoints) {
-      os << "pilote_failpoint_armed{name=\"" << f.name << "\"} "
-         << (f.armed ? 1 : 0) << "\n";
-    }
-    os << "# TYPE pilote_failpoint_hits_total counter\n";
-    for (const FailpointSample& f : snapshot.failpoints) {
-      os << "pilote_failpoint_hits_total{name=\"" << f.name << "\"} "
-         << f.hits << "\n";
-    }
-    os << "# TYPE pilote_failpoint_fires_total counter\n";
-    for (const FailpointSample& f : snapshot.failpoints) {
-      os << "pilote_failpoint_fires_total{name=\"" << f.name << "\"} "
-         << f.fires << "\n";
-    }
-  }
   return os.str();
 }
 

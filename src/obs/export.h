@@ -1,6 +1,7 @@
 #ifndef PILOTE_OBS_EXPORT_H_
 #define PILOTE_OBS_EXPORT_H_
 
+#include <sstream>
 #include <string>
 
 #include "common/status.h"
@@ -9,7 +10,10 @@
 namespace pilote {
 namespace obs {
 
-// Exporters over the metrics registry + span profile.
+// The one JSON writer over the metrics registry, span profile and
+// failpoint stats: ToJson renders a whole snapshot (the --metrics-json
+// artifact), and the telemetry exporter (obs/exporter.h) builds its per-tick
+// JSONL records from the same helpers.
 //
 // Environment contract (read once at first use):
 //   PILOTE_METRICS=1       enable recording (any value but "0")
@@ -29,20 +33,29 @@ namespace obs {
 // merged into one snapshot (the single chaos/perf artifact).
 MetricsSnapshot CaptureSnapshot();
 
-// Human-readable multi-section report (counters, gauges, histogram
-// percentiles, flat span profile, failpoint activity).
-std::string ToReport(const MetricsSnapshot& snapshot);
-
 // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-// "spans":{...},"failpoints":{...}}. Stable key order (sorted by name);
-// labeled series use the key `name{key="value"}`.
+// "spans":{...},"failpoints":{...}}. Registry series come sorted by name,
+// then labeled-family series under the key `name{key="value"}`; spans come
+// in descending total time. Histograms render as AppendHistogramJson does.
 std::string ToJson(const MetricsSnapshot& snapshot);
 
-// Prometheus text exposition. Names map `a/b_ms` -> `pilote_a_b_ms`;
-// counters gain the conventional `_total` suffix; histograms render as
-// summaries with quantile labels 0.5/0.95/0.99/0.999 plus _sum/_count;
-// failpoints render as pilote_failpoint_{hits,fires}_total{name="..."}.
-std::string ToPrometheus(const MetricsSnapshot& snapshot);
+// `name`, or `name{labels}` for a labeled series: the JSON key of a series.
+std::string SeriesName(const std::string& name, const std::string& labels);
+
+// `value` as a JSON number; "null" for NaN/Inf, which JSON cannot hold.
+std::string JsonNumber(double value);
+
+// `s` as a quoted JSON string, with quotes, backslashes and control
+// characters escaped.
+void AppendJsonString(std::ostringstream& os, const std::string& s);
+
+// {"count":n,"sum":s,"min":a,"max":b,"p50":..,"p95":..,"p99":..,"p999":..},
+// the quantiles interpolated from the buckets (HistogramSnapshot::Percentile).
+void AppendHistogramJson(std::ostringstream& os, const HistogramSnapshot& h);
+
+// Writes `body` to `path`, replacing it, or appending with `append`.
+Status WriteStringToFile(const std::string& path, const std::string& body,
+                         bool append = false);
 
 // Captures a snapshot and writes it as JSON.
 Status WriteMetricsJson(const std::string& path);

@@ -1,100 +1,84 @@
 #include "obs/exporter.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "obs/exemplar.h"
 #include "obs/export.h"
-#include "obs/labels.h"
 #include "obs/metrics.h"
 
 namespace pilote {
 namespace obs {
 namespace {
 
-Status WriteFile(const std::string& path, const std::string& body,
-                 const char* mode) {
-  std::FILE* file = std::fopen(path.c_str(), mode);
-  if (file == nullptr) {
-    return Status::IoError("cannot open telemetry output " + path);
+using SeriesKey = std::pair<std::string, std::string>;
+
+// Each (name, labels) series of `samples`, for lookup by the next tick.
+template <typename Sample>
+std::map<SeriesKey, const Sample*> IndexSeries(
+    const std::vector<Sample>& samples) {
+  std::map<SeriesKey, const Sample*> index;
+  for (const Sample& s : samples) {
+    index.emplace(SeriesKey{s.name, s.labels}, &s);
   }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), file);
-  const bool closed = std::fclose(file) == 0;
-  if (written != body.size() || !closed) {
-    return Status::IoError("cannot write telemetry output " + path);
-  }
-  return Status::Ok();
+  return index;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control characters cannot appear in metric names
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-std::string JsonKey(const std::string& name, const std::string& labels) {
-  std::string key = labels.empty() ? name : name + "{" + labels + "}";
-  std::string out = "\"";
-  out += JsonEscape(key);
-  out += '"';
-  return out;
-}
-
-std::string Num(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-// One JSONL time-series record: rolling rates and windowed quantiles from
-// `summary`, instantaneous gauges, cumulative failpoint stats, and the
-// current slow-window exemplar ring.
-std::string BuildJsonlLine(int64_t tick, double uptime_s,
-                           const WindowSummary& summary,
-                           const MetricsSnapshot& cumulative,
-                           const std::vector<SlowWindowExemplar>& exemplars) {
+// One JSONL record: counter deltas and rates and histogram deltas between
+// `previous` and `now`, instantaneous gauges, cumulative failpoint stats,
+// and the current slow-window exemplar ring.
+std::string BuildRecord(int64_t tick, double uptime_s, double window_s,
+                        const MetricsSnapshot& previous,
+                        const MetricsSnapshot& now,
+                        const std::vector<SlowWindowExemplar>& exemplars) {
   std::ostringstream os;
-  os << "{\"tick\":" << tick << ",\"uptime_s\":" << Num(uptime_s)
-     << ",\"window_s\":" << Num(summary.window_seconds);
+  os << "{\"tick\":" << tick << ",\"uptime_s\":" << JsonNumber(uptime_s)
+     << ",\"window_s\":" << JsonNumber(window_s);
   os << ",\"counters\":{";
-  for (size_t i = 0; i < summary.counters.size(); ++i) {
-    const WindowedCounterSample& c = summary.counters[i];
-    os << (i == 0 ? "" : ",") << JsonKey(c.name, c.labels)
-       << ":{\"delta\":" << c.delta
-       << ",\"rate_per_s\":" << Num(c.rate_per_s) << "}";
+  const auto previous_counters = IndexSeries(previous.counters);
+  for (size_t i = 0; i < now.counters.size(); ++i) {
+    const CounterSample& c = now.counters[i];
+    const auto before = previous_counters.find({c.name, c.labels});
+    const int64_t delta =
+        c.value -
+        (before == previous_counters.end() ? 0 : before->second->value);
+    const double rate =
+        window_s > 0.0 ? static_cast<double>(delta) / window_s : 0.0;
+    os << (i == 0 ? "" : ",");
+    AppendJsonString(os, SeriesName(c.name, c.labels));
+    os << ":{\"delta\":" << delta << ",\"rate_per_s\":" << JsonNumber(rate)
+       << "}";
   }
   os << "},\"gauges\":{";
-  for (size_t i = 0; i < summary.gauges.size(); ++i) {
-    const GaugeSample& g = summary.gauges[i];
-    os << (i == 0 ? "" : ",") << JsonKey(g.name, g.labels) << ":"
-       << Num(g.value);
+  for (size_t i = 0; i < now.gauges.size(); ++i) {
+    const GaugeSample& g = now.gauges[i];
+    os << (i == 0 ? "" : ",");
+    AppendJsonString(os, SeriesName(g.name, g.labels));
+    os << ":" << JsonNumber(g.value);
   }
   os << "},\"histograms\":{";
-  for (size_t i = 0; i < summary.histograms.size(); ++i) {
-    const HistogramSample& h = summary.histograms[i];
-    os << (i == 0 ? "" : ",") << JsonKey(h.name, h.labels)
-       << ":{\"count\":" << h.count << ",\"sum\":" << Num(h.sum)
-       << ",\"p50\":" << Num(h.p50) << ",\"p95\":" << Num(h.p95)
-       << ",\"p99\":" << Num(h.p99) << ",\"p999\":" << Num(h.p999) << "}";
+  const auto previous_histograms = IndexSeries(previous.histograms);
+  for (size_t i = 0; i < now.histograms.size(); ++i) {
+    const HistogramSample& h = now.histograms[i];
+    const auto before = previous_histograms.find({h.name, h.labels});
+    os << (i == 0 ? "" : ",");
+    AppendJsonString(os, SeriesName(h.name, h.labels));
+    os << ":";
+    AppendHistogramJson(os, before == previous_histograms.end()
+                                ? h.snapshot
+                                : Delta(before->second->snapshot, h.snapshot));
   }
   os << "},\"failpoints\":{";
-  for (size_t i = 0; i < cumulative.failpoints.size(); ++i) {
-    const FailpointSample& f = cumulative.failpoints[i];
-    os << (i == 0 ? "" : ",") << "\"" << JsonEscape(f.name)
-       << "\":{\"armed\":" << (f.armed ? "true" : "false")
+  for (size_t i = 0; i < now.failpoints.size(); ++i) {
+    const FailpointSample& f = now.failpoints[i];
+    os << (i == 0 ? "" : ",");
+    AppendJsonString(os, f.name);
+    os << ":{\"armed\":" << (f.armed ? "true" : "false")
        << ",\"hits\":" << f.hits << ",\"fires\":" << f.fires << "}";
   }
   os << "},\"exemplars\":[";
@@ -103,10 +87,10 @@ std::string BuildJsonlLine(int64_t tick, double uptime_s,
     os << (i == 0 ? "" : ",") << "{\"sequence\":" << e.sequence
        << ",\"session_id\":" << e.session_id
        << ",\"model_version\":" << e.model_version
-       << ",\"queue_wait_ms\":" << Num(e.queue_wait_ms)
-       << ",\"batch_wait_ms\":" << Num(e.batch_wait_ms)
-       << ",\"predict_ms\":" << Num(e.predict_ms)
-       << ",\"total_ms\":" << Num(e.total_ms) << "}";
+       << ",\"queue_wait_ms\":" << JsonNumber(e.queue_wait_ms)
+       << ",\"batch_wait_ms\":" << JsonNumber(e.batch_wait_ms)
+       << ",\"predict_ms\":" << JsonNumber(e.predict_ms)
+       << ",\"total_ms\":" << JsonNumber(e.total_ms) << "}";
   }
   os << "]}\n";
   return os.str();
@@ -116,10 +100,7 @@ std::string BuildJsonlLine(int64_t tick, double uptime_s,
 
 TelemetryExporter::TelemetryExporter(TelemetryOptions options)
     : options_(std::move(options)),
-      start_time_(std::chrono::steady_clock::now()),
-      windows_(options_.window_capacity_ticks == 0
-                   ? 1
-                   : options_.window_capacity_ticks) {}
+      start_time_(std::chrono::steady_clock::now()) {}
 
 TelemetryExporter::~TelemetryExporter() { Stop(); }
 
@@ -156,7 +137,7 @@ void TelemetryExporter::Stop() {
     stop_requested_ = false;
   }
   // Final flush: even a run shorter than one interval leaves a record, and
-  // the last partial window reaches the artifacts.
+  // the last partial window reaches the JSONL stream.
   Status status = TickNow();
   if (!status.ok()) {
     PILOTE_LOG(Warning) << "telemetry final tick failed: "
@@ -186,30 +167,20 @@ void TelemetryExporter::Loop() {
 }
 
 Status TelemetryExporter::TickNow() {
+  MutexLock lock(tick_mutex_);
   const double uptime_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
           .count();
-  RawMetricsSnapshot raw = MetricsRegistry::Global().RawSnapshot();
-  FamilyRegistry::Global().AppendTo(&raw);
-  windows_.Tick(raw, uptime_s);
-
-  const WindowSummary summary =
-      windows_.Summarize(options_.summary_window_ticks);
-  MetricsSnapshot cumulative = CaptureSnapshot();
-
-  // Exposition: cumulative counters/gauges/failpoints, WINDOWED quantiles.
-  MetricsSnapshot exposition = cumulative;
-  exposition.histograms = summary.histograms;
-  Status status = WriteFile(options_.output_prefix + ".prom",
-                            ToPrometheus(exposition), "w");
-
+  MetricsSnapshot now = CaptureSnapshot();
   const int64_t tick = ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::string line = BuildJsonlLine(tick, uptime_s, summary, cumulative,
-                                          SlowWindows().Snapshot());
-  Status jsonl_status =
-      WriteFile(options_.output_prefix + ".jsonl", line, "a");
-  return status.ok() ? jsonl_status : status;
+  const double window_s = tick == 1 ? 0.0 : uptime_s - previous_uptime_s_;
+  const std::string record = BuildRecord(tick, uptime_s, window_s, previous_,
+                                         now, SlowWindows().Snapshot());
+  previous_ = std::move(now);
+  previous_uptime_s_ = uptime_s;
+  return WriteStringToFile(options_.output_prefix + ".jsonl", record,
+                           /*append=*/true);
 }
 
 // ------------------------------------------------------- global instance
@@ -222,8 +193,6 @@ Mutex& GlobalTelemetryMutex() {
 }
 
 TelemetryExporter*& GlobalTelemetrySlot() {
-  // Leaked: the atexit handler stops the thread; destruction order against
-  // other static teardown is not worth gambling on.
   static TelemetryExporter* exporter = nullptr;
   return exporter;
 }
@@ -259,10 +228,12 @@ void StopGlobalTelemetry() {
     exporter = GlobalTelemetrySlot();
     GlobalTelemetrySlot() = nullptr;
   }
-  // Stop outside the lock (it joins the thread and does file I/O). The
-  // object is leaked so late metric reads from other atexit handlers stay
-  // safe.
-  if (exporter != nullptr) exporter->Stop();
+  // Stop outside the lock (it joins the thread and does file I/O). Nothing
+  // else holds the exporter: the at-exit metrics JSON reads the registries.
+  if (exporter != nullptr) {
+    exporter->Stop();
+    delete exporter;
+  }
 }
 
 TelemetryExporter* GlobalTelemetry() {

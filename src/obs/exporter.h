@@ -9,23 +9,27 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "obs/window.h"
+#include "obs/metrics.h"
 
 namespace pilote {
 namespace obs {
 
-// Background telemetry exporter: a thread that every `interval_ms` feeds
-// the windowed aggregator one snapshot delta and emits two artifacts under
-// `output_prefix`:
+// Background telemetry exporter: a thread that every `interval_ms` captures
+// the registries and appends one JSON object to `<output_prefix>.jsonl`
+// describing that tick's window:
 //
-//   <prefix>.prom    Prometheus text exposition, rewritten per tick —
-//                    cumulative counters/gauges/failpoints plus WINDOWED
-//                    histogram quantiles (p50/p95/p99/p999 over the last
-//                    `summary_window_ticks` ticks), ready for a file-based
-//                    scrape (node_exporter textfile collector style).
-//   <prefix>.jsonl   one JSON object appended per tick — the time series
-//                    (rates, windowed quantiles, gauges, failpoint stats,
-//                    slow-window exemplars) CI uploads as its artifact.
+//   tick, uptime_s, window_s   tick number, seconds since construction,
+//                              seconds since the previous tick
+//   counters    {"series":{"delta":d,"rate_per_s":r}} — events this tick
+//   gauges      {"series":v} — instantaneous values
+//   histograms  {"series":{count,sum,min,max,p50,p95,p99,p999}} — the
+//               recordings of this tick (obs::Delta of two captures)
+//   failpoints  {"name":{armed,hits,fires}} — cumulative
+//   exemplars   [ ... ] — the slow-window exemplar ring (obs/exemplar.h)
+//
+// The exporter keeps only its previous capture. The first tick is the
+// baseline: its deltas are the cumulative values and its window_s is 0
+// (rates 0). A wider window is a longer interval.
 //
 // Lifecycle: Start() launches the thread, Stop() (idempotent; also run by
 // the destructor) joins it and performs one final tick so even runs shorter
@@ -35,10 +39,6 @@ namespace obs {
 struct TelemetryOptions {
   std::string output_prefix;
   int64_t interval_ms = 1000;
-  // Ring depth of the aggregator (lookback = capacity * interval).
-  size_t window_capacity_ticks = 60;
-  // Ticks merged into each windowed quantile summary.
-  size_t summary_window_ticks = 10;
 };
 
 class TelemetryExporter {
@@ -54,15 +54,11 @@ class TelemetryExporter {
   Status Start() PILOTE_EXCLUDES(mutex_);
 
   // Signals the thread, joins it, runs a final tick. Safe to call twice.
-  void Stop() PILOTE_EXCLUDES(mutex_);
+  void Stop() PILOTE_EXCLUDES(mutex_, tick_mutex_);
 
-  // Captures, windows and writes both outputs immediately (also the final
-  // flush in Stop, and what tests call to avoid timing dependence).
-  Status TickNow() PILOTE_EXCLUDES(mutex_);
-
-  // Windowed views over what the exporter has ingested (tests ask this for
-  // "p999 over the last N ticks" without parsing the artifacts).
-  const WindowedAggregator& windows() const { return windows_; }
+  // Captures and appends one record immediately (also the final flush in
+  // Stop, and what tests call to avoid timing dependence).
+  Status TickNow() PILOTE_EXCLUDES(mutex_, tick_mutex_);
 
   int64_t ticks_completed() const {
     return ticks_.load(std::memory_order_relaxed);
@@ -71,7 +67,7 @@ class TelemetryExporter {
   const TelemetryOptions& options() const { return options_; }
 
  private:
-  void Loop() PILOTE_EXCLUDES(mutex_);
+  void Loop() PILOTE_EXCLUDES(mutex_, tick_mutex_);
 
   const TelemetryOptions options_;
   const std::chrono::steady_clock::time_point start_time_;
@@ -83,13 +79,19 @@ class TelemetryExporter {
   // unguarded: written in Start, joined in Stop; control-plane calls are
   // serialized by the caller.
   std::thread thread_;
-  WindowedAggregator windows_;  // unguarded: internally synchronized
+  // Serializes ticks (the loop's, Stop's final one and manual ones); held
+  // across capture and file I/O, which mutex_ never is.
+  Mutex tick_mutex_;
+  MetricsSnapshot previous_ PILOTE_GUARDED_BY(tick_mutex_);
+  double previous_uptime_s_ PILOTE_GUARDED_BY(tick_mutex_) = 0.0;
   std::atomic<int64_t> ticks_{0};
 };
 
 // Process-wide exporter, the PILOTE_TELEMETRY_OUT surface. Start enables
-// metric recording, launches the exporter and registers an atexit stop
-// (final flush); kFailedPrecondition if one is already running.
+// metric recording, launches the exporter and registers an atexit stop;
+// kFailedPrecondition if one is already running. Stop runs the final tick
+// and deletes the exporter, so a GlobalTelemetry() pointer is valid only
+// until then.
 Status StartGlobalTelemetry(const TelemetryOptions& options);
 void StopGlobalTelemetry();
 TelemetryExporter* GlobalTelemetry();

@@ -116,28 +116,6 @@ void FamilyRegistry::AppendTo(MetricsSnapshot* snapshot) const {
   }
   for (const auto& [name, family] : histograms_) {
     for (const auto& [value, histogram] : family.slots) {
-      snapshot->histograms.push_back(MakeHistogramSample(
-          name, RenderLabel(family.label_key, value), histogram->Snapshot()));
-    }
-  }
-}
-
-void FamilyRegistry::AppendTo(RawMetricsSnapshot* snapshot) const {
-  MutexLock lock(mutex_);
-  for (const auto& [name, family] : counters_) {
-    for (const auto& [value, counter] : family.slots) {
-      snapshot->counters.push_back(
-          {name, RenderLabel(family.label_key, value), counter->value()});
-    }
-  }
-  for (const auto& [name, family] : gauges_) {
-    for (const auto& [value, gauge] : family.slots) {
-      snapshot->gauges.push_back(
-          {name, RenderLabel(family.label_key, value), gauge->value()});
-    }
-  }
-  for (const auto& [name, family] : histograms_) {
-    for (const auto& [value, histogram] : family.slots) {
       snapshot->histograms.push_back(
           {name, RenderLabel(family.label_key, value), histogram->Snapshot()});
     }

@@ -35,7 +35,7 @@ namespace obs {
 
 // Bound on distinct label values per family. Generous for the intended
 // dimensions (shards, stages, degrade reasons, model versions) while keeping
-// a full exposition dump trivially small.
+// a full snapshot trivially small.
 inline constexpr size_t kMaxLabelValues = 64;
 
 // Pre-resolved view over one family's metric slots. At(i) corresponds to
@@ -90,7 +90,6 @@ class FamilyRegistry {
   // Appends every family slot to `snapshot` as labeled samples, in
   // deterministic (name, value-registration) order.
   void AppendTo(MetricsSnapshot* snapshot) const PILOTE_EXCLUDES(mutex_);
-  void AppendTo(RawMetricsSnapshot* snapshot) const PILOTE_EXCLUDES(mutex_);
 
   // Zeroes every slot IN PLACE; views stay valid (same contract as
   // MetricsRegistry::ResetForTesting).
@@ -120,7 +119,8 @@ class FamilyRegistry {
 };
 
 // Renders `key="value"` (value backslash-escaped) — the `labels` string
-// stored on samples and emitted inside {} by the Prometheus exporter.
+// stored on samples; the JSON writers key a labeled series as
+// `name{key="value"}`.
 std::string RenderLabel(const std::string& key, const std::string& value);
 
 }  // namespace obs

@@ -185,45 +185,9 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
-HistogramSample MakeHistogramSample(const std::string& name,
-                                    const std::string& labels,
-                                    const HistogramSnapshot& h) {
-  HistogramSample s;
-  s.name = name;
-  s.labels = labels;
-  s.count = h.count;
-  s.sum = h.sum;
-  s.min = h.min;
-  s.max = h.max;
-  s.p50 = h.Percentile(0.50);
-  s.p95 = h.Percentile(0.95);
-  s.p99 = h.Percentile(0.99);
-  s.p999 = h.Percentile(0.999);
-  return s;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MutexLock lock(mutex_);
   MetricsSnapshot snapshot;
-  snapshot.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters.push_back({name, /*labels=*/"", counter->value()});
-  }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.push_back({name, /*labels=*/"", gauge->value()});
-  }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    snapshot.histograms.push_back(
-        MakeHistogramSample(name, /*labels=*/"", histogram->Snapshot()));
-  }
-  return snapshot;
-}
-
-RawMetricsSnapshot MetricsRegistry::RawSnapshot() const {
-  MutexLock lock(mutex_);
-  RawMetricsSnapshot snapshot;
   snapshot.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.push_back({name, /*labels=*/"", counter->value()});

@@ -154,17 +154,13 @@ struct GaugeSample {
   double value = 0.0;
 };
 
+// Carries the full bucket view; renderers derive p50/p95/p99/p999 from it
+// (HistogramSnapshot::Percentile), so a sample can also be diffed against
+// an earlier capture of the same series (obs::Delta).
 struct HistogramSample {
   std::string name;
   std::string labels;
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
+  HistogramSnapshot snapshot;
 };
 
 // One span name aggregated over all executions (see obs/trace.h).
@@ -196,34 +192,6 @@ struct MetricsSnapshot {
   std::vector<FailpointSample> failpoints;
 };
 
-// Raw cumulative view keeping full bucket vectors, the input the
-// time-windowed aggregator (obs/window.h) diffs tick over tick. Gauges are
-// instantaneous and carried through as-is.
-struct RawHistogramSample {
-  std::string name;
-  std::string labels;
-  HistogramSnapshot snapshot;
-};
-
-struct RawCounterSample {
-  std::string name;
-  std::string labels;
-  int64_t value = 0;
-};
-
-struct RawMetricsSnapshot {
-  std::vector<RawCounterSample> counters;
-  std::vector<GaugeSample> gauges;
-  std::vector<RawHistogramSample> histograms;
-};
-
-// Computes p50/p95/p99/p999 from a frozen histogram view; shared by the
-// plain registry, the family registry (obs/labels.h) and the windowed
-// aggregator (obs/window.h).
-HistogramSample MakeHistogramSample(const std::string& name,
-                                    const std::string& labels,
-                                    const HistogramSnapshot& h);
-
 // Name -> metric map. Handles returned by Get* are stable for the process
 // lifetime (never invalidated, not even by ResetForTesting), so callers
 // cache them in function-local statics and record lock-free.
@@ -237,10 +205,6 @@ class MetricsRegistry {
 
   // Counters/gauges/histograms only; spans live in the trace registry.
   MetricsSnapshot Snapshot() const PILOTE_EXCLUDES(mutex_);
-
-  // Like Snapshot() but preserving full histogram bucket vectors, for the
-  // windowed aggregator to diff tick over tick.
-  RawMetricsSnapshot RawSnapshot() const PILOTE_EXCLUDES(mutex_);
 
   // Zeroes every registered metric IN PLACE; handles stay valid.
   void ResetForTesting() PILOTE_EXCLUDES(mutex_);

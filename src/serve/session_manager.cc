@@ -27,6 +27,8 @@ SessionManager::SessionManager(const ServeOptions& options)
     : options_(options),
       degraded_(obs::FamilyRegistry::Global().GetCounterFamily(
           "serve/degraded_total", "reason", {"deadline", "backpressure"})),
+      rejected_(obs::FamilyRegistry::Global().GetCounterFamily(
+          "serve/rejected_total", "reason", {"shape", "non_finite"})),
       shard_sessions_(obs::FamilyRegistry::Global().GetGaugeFamily(
           "serve/shard_sessions", "shard", ShardLabels(kNumShards))) {
   Status valid = ValidateServeOptions(options_);
@@ -107,6 +109,7 @@ Result<std::future<int>> SessionManager::SubmitWindow(SessionId id,
   const int64_t input_dim = session->learner()->input_dim();
   if (features.rank() != 2 || features.rows() != 1 ||
       features.cols() != input_dim) {
+    if (obs::Enabled()) rejected_.At(kShapeRejectSlot).Increment();
     return Status::InvalidArgument(
         "SubmitWindow: expected a [1, " + std::to_string(input_dim) +
         "] feature row, got " + features.shape().ToString());
@@ -116,6 +119,7 @@ Result<std::future<int>> SessionManager::SubmitWindow(SessionId id,
   // rather than answer with a confident wrong label.
   for (int64_t j = 0; j < input_dim; ++j) {
     if (!std::isfinite(features(0, j))) {
+      if (obs::Enabled()) rejected_.At(kNonFiniteRejectSlot).Increment();
       return Status::InvalidArgument(
           "SubmitWindow: non-finite feature " +
           std::to_string(features(0, j)) + " at column " + std::to_string(j));

@@ -92,6 +92,8 @@ class SessionManager {
 
   static constexpr size_t kDeadlineSlot = 0;
   static constexpr size_t kBackpressureSlot = 1;
+  static constexpr size_t kShapeRejectSlot = 0;
+  static constexpr size_t kNonFiniteRejectSlot = 1;
 
   Shard& ShardFor(SessionId id);
   Result<std::shared_ptr<Session>> FindSession(SessionId id);
@@ -104,6 +106,9 @@ class SessionManager {
   // serve/degraded_total{reason=deadline|backpressure}; the fault reason
   // is counted inside the engine.
   const obs::CounterFamily degraded_;
+  // serve/rejected_total{reason=shape|non_finite}: feature rows
+  // SubmitWindow refused before they reached the batcher.
+  const obs::CounterFamily rejected_;
   // Per-shard session gauges, serve/shard_sessions{shard=...}.
   const obs::GaugeFamily shard_sessions_;
   // Declared last: the engine stops (draining its queue, which holds

@@ -1,7 +1,7 @@
-// Exporter-format tests for obs/export.cc: JSON/Prometheus round
-// trips of labeled and unlabeled series, empty-registry output, histogram
-// delta edge cases at the export boundary, and the unification of
-// failpoint stats into the same snapshot/artifacts as the metrics.
+// Exporter-format tests for obs/export.cc: JSON round trips of labeled
+// and unlabeled series, empty-registry output, histogram delta edge cases
+// at the export boundary, and the unification of failpoint stats into the
+// same snapshot and JSON as the metrics.
 #include <string>
 #include <vector>
 
@@ -44,9 +44,6 @@ TEST_F(ObsExportTest, EmptyRegistryProducesWellFormedOutput) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"counters\":{}"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":{}"), std::string::npos);
-
-  // Prometheus: no series, no TYPE headers.
-  EXPECT_EQ(ToPrometheus(snapshot), "");
 }
 
 TEST_F(ObsExportTest, LabeledSeriesRoundTripThroughJson) {
@@ -79,55 +76,24 @@ TEST_F(ObsExportTest, HistogramDeltaEdgeCasesAtExportBoundary) {
   HistogramSnapshot empty_delta = Delta(before, hist.Snapshot());
   EXPECT_EQ(empty_delta.count, 0);
   MetricsSnapshot snapshot;
-  snapshot.histograms.push_back(
-      MakeHistogramSample("test/delta_ms", "", empty_delta));
+  snapshot.histograms.push_back({"test/delta_ms", "", empty_delta});
   std::string json = ToJson(snapshot);
   EXPECT_NE(json.find("\"count\":0"), std::string::npos);
   EXPECT_NE(json.find("\"p999\":0"), std::string::npos);
 
-  // Recordings in between: the delta carries only those, and the sample
+  // Recordings in between: the delta carries only those, and the rendered
   // quantiles stay within the delta's observed range.
   hist.Record(8.0);
   hist.Record(8.0);
   HistogramSnapshot delta = Delta(before, hist.Snapshot());
   EXPECT_EQ(delta.count, 2);
-  HistogramSample sample = MakeHistogramSample("test/delta_ms", "", delta);
-  EXPECT_GE(sample.p50, delta.min);
-  EXPECT_LE(sample.p999, delta.max);
-  EXPECT_GE(sample.p999, sample.p99);
-}
-
-TEST_F(ObsExportTest, PrometheusExpositionFollowsConventions) {
-  MetricsRegistry::Global().GetCounter("test/events").Add(7);
-  MetricsRegistry::Global().GetCounter("test/stalls_total").Add(2);
-  MetricsRegistry::Global().GetGauge("test/depth").Set(4.0);
-  CounterFamily family = FamilyRegistry::Global().GetCounterFamily(
-      "test/degraded_total", "reason", {"fault"});
-  family.At(0).Increment();
-  HistogramFamily stage = FamilyRegistry::Global().GetHistogramFamily(
-      "test/stage_ms", "stage", {"predict"});
-  stage.At(0).Record(1.5);
-
-  const std::string prom = ToPrometheus(CaptureSnapshot());
-  // Counters gain _total exactly once; '/' maps to '_'.
-  EXPECT_NE(prom.find("# TYPE pilote_test_events_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("pilote_test_events_total 7"), std::string::npos);
-  EXPECT_NE(prom.find("pilote_test_stalls_total 2"), std::string::npos);
-  EXPECT_EQ(prom.find("stalls_total_total"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE pilote_test_depth gauge"), std::string::npos);
-  // Labeled counter keeps its labels.
-  EXPECT_NE(
-      prom.find("pilote_test_degraded_total{reason=\"fault\"} 1"),
-      std::string::npos);
-  // Histograms export as summaries; the quantile label composes with the
-  // family label, and the tail quantile is present.
-  EXPECT_NE(prom.find("# TYPE pilote_test_stage_ms summary"),
-            std::string::npos);
-  EXPECT_NE(prom.find(
-                "pilote_test_stage_ms{stage=\"predict\",quantile=\"0.999\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("pilote_test_stage_ms_count{stage=\"predict\"} 1"),
+  EXPECT_GE(delta.Percentile(0.50), delta.min);
+  EXPECT_LE(delta.Percentile(0.999), delta.max);
+  EXPECT_GE(delta.Percentile(0.999), delta.Percentile(0.99));
+  snapshot.histograms[0].snapshot = delta;
+  json = ToJson(snapshot);
+  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"p999\":" + JsonNumber(delta.Percentile(0.999))),
             std::string::npos);
 }
 
@@ -147,19 +113,11 @@ TEST_F(ObsExportTest, FailpointStatsUnifiedIntoSnapshotAndArtifacts) {
   }
   ASSERT_TRUE(found) << "failpoint stats not captured into the snapshot";
 
-  // One chaos artifact: the same JSON/exposition that carries the metrics
-  // carries the failpoint counters.
+  // One chaos artifact: the same JSON that carries the metrics carries the
+  // failpoint counters.
   const std::string json = ToJson(snapshot);
   EXPECT_NE(json.find("\"failpoints\":{"), std::string::npos);
   EXPECT_NE(json.find("\"test/export_fp\":{\"armed\":true"),
-            std::string::npos);
-  const std::string prom = ToPrometheus(snapshot);
-  EXPECT_NE(prom.find("pilote_failpoint_armed{name=\"test/export_fp\"} 1"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("pilote_failpoint_fires_total{name=\"test/export_fp\"} 0"),
-      std::string::npos);
-  EXPECT_NE(prom.find("# TYPE pilote_failpoint_hits_total counter"),
             std::string::npos);
 }
 

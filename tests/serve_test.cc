@@ -22,6 +22,7 @@
 #include "core/cloud.h"
 #include "core/edge_learner.h"
 #include "nn/backbone.h"
+#include "obs/labels.h"
 #include "obs/metrics.h"
 #include "serialize/io.h"
 #include "serve/session_manager.h"
@@ -271,25 +272,41 @@ TEST(SessionManagerTest, RejectsNullHandleAndBadOptions) {
             StatusCode::kInvalidArgument);
 }
 
+// serve/rejected_total{reason=shape|non_finite}, as SubmitWindow counts it.
+obs::CounterFamily RejectedCounters() {
+  return obs::FamilyRegistry::Global().GetCounterFamily(
+      "serve/rejected_total", "reason", {"shape", "non_finite"});
+}
+
 TEST(SessionManagerTest, SubmitRejectsWrongShape) {
+  obs::ScopedEnable metrics;
   core::PiloteConfig config = TestConfig();
   SessionManager manager(ServeOptions{});
   Result<SessionId> id =
       manager.CreateSession(MakeHandle(config), config.streaming);
   ASSERT_TRUE(id.ok());
+  const obs::CounterFamily rejected = RejectedCounters();
+  const int64_t shape_before = rejected.At(0).value();
+  const int64_t non_finite_before = rejected.At(1).value();
   Rng rng(1);
   Tensor bad = Tensor::RandNormal(
       Shape::Matrix(1, config.backbone.input_dim + 1), rng);
   EXPECT_EQ(manager.SubmitWindow(*id, bad).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.At(0).value() - shape_before, 1);
+  EXPECT_EQ(rejected.At(1).value() - non_finite_before, 0);
 }
 
 TEST(SessionManagerTest, SubmitRejectsNonFiniteFeatures) {
+  obs::ScopedEnable metrics;
   core::PiloteConfig config = TestConfig();
   SessionManager manager(ServeOptions{});
   Result<SessionId> id =
       manager.CreateSession(MakeHandle(config), config.streaming);
   ASSERT_TRUE(id.ok());
+  const obs::CounterFamily rejected = RejectedCounters();
+  const int64_t shape_before = rejected.At(0).value();
+  const int64_t non_finite_before = rejected.At(1).value();
   Rng rng(13);
   const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
                         std::numeric_limits<float>::infinity()};
@@ -301,6 +318,8 @@ TEST(SessionManagerTest, SubmitRejectsNonFiniteFeatures) {
     EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument)
         << "feature " << bad << " reached the batcher";
   }
+  EXPECT_EQ(rejected.At(1).value() - non_finite_before, 2);
+  EXPECT_EQ(rejected.At(0).value() - shape_before, 0);
   // The session still serves finite rows.
   Result<std::future<int>> good =
       manager.SubmitWindow(*id, RandomWindow(config, rng));

@@ -1,14 +1,16 @@
-// Streaming-telemetry-plane tests: labeled metric families, the windowed
-// aggregator, the slow-window exemplar ring, the stall watchdog, and the
-// background TelemetryExporter running concurrently with serving ingest
-// (the suite CI runs under TSan). The end-to-end test is the acceptance
-// drill: exporter thread + multi-threaded ingest + an injected-slow
-// predict failpoint, asserting windowed p999, stage/end-to-end latency
-// consistency, a captured exemplar, and a watchdog stall event.
+// Streaming-telemetry-plane tests: labeled metric families, the
+// slow-window exemplar ring, the stall watchdog, and the background
+// TelemetryExporter running concurrently with serving ingest (the suite CI
+// runs under TSan). The end-to-end test is the acceptance drill: exporter
+// thread + multi-threaded ingest + an injected-slow predict failpoint,
+// asserting that the per-tick JSONL records add up to every request with a
+// tail quantile, stage/end-to-end latency consistency, a captured exemplar,
+// and the failpoint's fires in the stream.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -27,7 +29,6 @@
 #include "obs/exporter.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
-#include "obs/window.h"
 #include "serialize/io.h"
 #include "serve/session_manager.h"
 #include "tensor/tensor.h"
@@ -63,6 +64,25 @@ std::string ReadFileOrEmpty(const std::string& path) {
   }
   std::fclose(f);
   return body;
+}
+
+std::vector<std::string> SplitLines(const std::string& body) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  for (size_t end = body.find('\n'); end != std::string::npos;
+       start = end + 1, end = body.find('\n', start)) {
+    lines.push_back(body.substr(start, end - start));
+  }
+  return lines;
+}
+
+// The number right after the first `key` at or after `from` in `line`;
+// -1 when `key` is absent.
+double NumberAfter(const std::string& line, const std::string& key,
+                   size_t from = 0) {
+  const size_t at = line.find(key, from);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(line.c_str() + at + key.size(), nullptr);
 }
 
 // ------------------------------------------------------- metric families
@@ -107,77 +127,6 @@ TEST_F(TelemetryTest, FamilyResetZeroesInPlaceAndViewsSurvive) {
   EXPECT_EQ(stage.At(0).Snapshot().count, 0);
   stage.At(0).Record(2.0);
   EXPECT_EQ(stage.At(0).Snapshot().count, 1);
-}
-
-// --------------------------------------------------- windowed aggregation
-
-TEST_F(TelemetryTest, AggregatorComputesRollingRatesAndDeltas) {
-  Counter& events = MetricsRegistry::Global().GetCounter("test/events_total");
-  Histogram& lat = MetricsRegistry::Global().GetHistogram("test/lat_ms");
-  WindowedAggregator agg(/*capacity=*/16);
-
-  events.Add(10);
-  lat.Record(1.0);
-  agg.Tick(MetricsRegistry::Global().RawSnapshot(), 0.0);  // baseline
-
-  events.Add(30);
-  lat.Record(2.0);
-  lat.Record(4.0);
-  agg.Tick(MetricsRegistry::Global().RawSnapshot(), 2.0);
-
-  // The last tick covers 2 seconds with 30 events and 2 recordings.
-  EXPECT_DOUBLE_EQ(agg.WindowedRate("test/events_total", "", 1), 15.0);
-  HistogramSnapshot window = agg.WindowedHistogram("test/lat_ms", "", 1);
-  EXPECT_EQ(window.count, 2);
-  EXPECT_DOUBLE_EQ(window.sum, 6.0);
-  // Merging back to the baseline recovers the full cumulative state.
-  EXPECT_EQ(agg.WindowedHistogram("test/lat_ms", "", 99).count, 3);
-
-  WindowSummary summary = agg.Summarize(1);
-  EXPECT_DOUBLE_EQ(summary.window_seconds, 2.0);
-  ASSERT_EQ(summary.counters.size(), 1u);
-  EXPECT_EQ(summary.counters[0].name, "test/events_total");
-  EXPECT_EQ(summary.counters[0].delta, 30);
-  EXPECT_DOUBLE_EQ(summary.counters[0].rate_per_s, 15.0);
-  ASSERT_EQ(summary.histograms.size(), 1u);
-  EXPECT_EQ(summary.histograms[0].count, 2);
-  EXPECT_GT(summary.histograms[0].p999, 0.0);
-}
-
-TEST_F(TelemetryTest, AggregatorEvictsBeyondCapacityAndResets) {
-  Counter& events = MetricsRegistry::Global().GetCounter("test/events_total");
-  WindowedAggregator agg(/*capacity=*/2);
-  for (int t = 0; t < 5; ++t) {
-    events.Add(1);
-    agg.Tick(MetricsRegistry::Global().RawSnapshot(),
-             static_cast<double>(t));
-  }
-  EXPECT_EQ(agg.tick_count(), 2u);
-  // Only the retained ticks contribute, however many are asked for.
-  EXPECT_EQ(agg.Summarize(99).counters[0].delta, 2);
-  agg.Reset();
-  EXPECT_EQ(agg.tick_count(), 0u);
-  // After Reset the next tick re-baselines instead of producing a bogus
-  // delta against pre-reset cumulative state.
-  agg.Tick(MetricsRegistry::Global().RawSnapshot(), 10.0);
-  EXPECT_EQ(agg.Summarize(99).counters[0].delta, 5);
-}
-
-TEST_F(TelemetryTest, MergeHistogramsSumsBucketsAndWidensRange) {
-  Histogram& a = MetricsRegistry::Global().GetHistogram("test/merge_a");
-  Histogram& b = MetricsRegistry::Global().GetHistogram("test/merge_b");
-  a.Record(1.0);
-  b.Record(8.0);
-  b.Record(16.0);
-  HistogramSnapshot merged = MergeHistograms(a.Snapshot(), b.Snapshot());
-  EXPECT_EQ(merged.count, 3);
-  EXPECT_DOUBLE_EQ(merged.sum, 25.0);
-  EXPECT_DOUBLE_EQ(merged.min, 1.0);
-  EXPECT_DOUBLE_EQ(merged.max, 16.0);
-  // Merging with an empty side is the identity.
-  HistogramSnapshot empty;
-  EXPECT_EQ(MergeHistograms(merged, empty).count, 3);
-  EXPECT_EQ(MergeHistograms(empty, merged).count, 3);
 }
 
 // -------------------------------------------------------- exemplar ring
@@ -242,36 +191,52 @@ TEST_F(TelemetryTest, ExemplarRingIsSafeUnderConcurrentRecordAndSnapshot) {
 
 // ------------------------------------------------------------- exporter
 
-TEST_F(TelemetryTest, TickNowWritesPromAndJsonlArtifacts) {
-  MetricsRegistry::Global().GetCounter("test/events_total").Add(5);
-  MetricsRegistry::Global().GetHistogram("test/lat_ms").Record(3.0);
+TEST_F(TelemetryTest, TickNowAppendsOneDeltaRecordPerTick) {
+  Counter& events = MetricsRegistry::Global().GetCounter("test/events_total");
+  Histogram& lat = MetricsRegistry::Global().GetHistogram("test/lat_ms");
+  events.Add(5);
+  lat.Record(3.0);
 
   TelemetryOptions options;
   options.output_prefix = ::testing::TempDir() + "/telemetry_ticknow";
   options.interval_ms = 60000;  // never fires on its own; ticks are manual
-  options.summary_window_ticks = 1;  // each JSONL line covers one tick
   std::remove((options.output_prefix + ".jsonl").c_str());
   TelemetryExporter exporter(options);
+  ASSERT_TRUE(exporter.TickNow().ok());  // baseline: the cumulative values
+  events.Add(7);
+  lat.Record(4.0);
   ASSERT_TRUE(exporter.TickNow().ok());
-  MetricsRegistry::Global().GetCounter("test/events_total").Add(7);
-  ASSERT_TRUE(exporter.TickNow().ok());
-  EXPECT_EQ(exporter.ticks_completed(), 2);
-  EXPECT_EQ(exporter.windows().tick_count(), 2u);
+  ASSERT_TRUE(exporter.TickNow().ok());  // nothing recorded since the last
+  EXPECT_EQ(exporter.ticks_completed(), 3);
 
-  const std::string prom = ReadFileOrEmpty(options.output_prefix + ".prom");
-  EXPECT_NE(prom.find("pilote_test_events_total 12"), std::string::npos);
-  EXPECT_NE(prom.find("quantile=\"0.999\""), std::string::npos);
-
-  // JSONL appends one record per tick; the second tick's windowed counter
-  // delta is exactly the 7 events recorded in between.
-  const std::string jsonl = ReadFileOrEmpty(options.output_prefix + ".jsonl");
-  ASSERT_FALSE(jsonl.empty());
-  const size_t lines =
-      static_cast<size_t>(std::count(jsonl.begin(), jsonl.end(), '\n'));
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(jsonl.find("\"tick\":2"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"test/events_total\":{\"delta\":7"),
-            std::string::npos);
+  // One appended record per tick, each holding only its own tick's delta:
+  // a third record reading 7 (or 12) would mean the previous capture did
+  // not advance.
+  const std::vector<std::string> lines =
+      SplitLines(ReadFileOrEmpty(options.output_prefix + ".jsonl"));
+  ASSERT_EQ(lines.size(), 3u);
+  const std::string delta = "\"test/events_total\":{\"delta\":";
+  const std::string count = "\"test/lat_ms\":{\"count\":";
+  EXPECT_EQ(NumberAfter(lines[0], delta), 5);
+  EXPECT_EQ(NumberAfter(lines[1], delta), 7);
+  EXPECT_EQ(NumberAfter(lines[2], delta), 0);
+  EXPECT_EQ(NumberAfter(lines[0], count), 1);
+  EXPECT_EQ(NumberAfter(lines[1], count), 1);
+  EXPECT_EQ(NumberAfter(lines[2], count), 0);
+  // The tick-2 histogram window holds only the 4.0 recording.
+  EXPECT_GE(NumberAfter(lines[1], "\"p50\":", lines[1].find(count)), 3.5);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(NumberAfter(lines[i], "{\"tick\":"),
+              static_cast<double>(i + 1));
+  }
+  // The baseline has no window to rate over; later rates are per second of
+  // their own window.
+  EXPECT_EQ(NumberAfter(lines[0], "\"window_s\":"), 0);
+  EXPECT_NE(lines[0].find(delta + "5,\"rate_per_s\":0}"), std::string::npos);
+  const double window_s = NumberAfter(lines[1], "\"window_s\":");
+  ASSERT_GT(window_s, 0.0);
+  EXPECT_NEAR(NumberAfter(lines[1], delta + "7,\"rate_per_s\":"),
+              7.0 / window_s, 1e-6 * 7.0 / window_s);
 }
 
 TEST_F(TelemetryTest, GlobalTelemetryIsExclusiveAndRestartable) {
@@ -334,8 +299,6 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   TelemetryOptions telemetry;
   telemetry.output_prefix = ::testing::TempDir() + "/telemetry_e2e";
   telemetry.interval_ms = 5;
-  telemetry.window_capacity_ticks = 4096;
-  telemetry.summary_window_ticks = 4096;
   std::remove((telemetry.output_prefix + ".jsonl").c_str());
   TelemetryExporter exporter(telemetry);
   ASSERT_TRUE(exporter.Start().ok());
@@ -397,23 +360,28 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   const int64_t total = classified.load(std::memory_order_relaxed);
   ASSERT_EQ(total, kThreads * kWindowsPerThread);
 
-  // Windowed tail latency is present: the aggregator retained every tick,
-  // so the full window recovers all requests and a positive p999.
-  HistogramSnapshot windowed =
-      exporter.windows().WindowedHistogram("serve/request_ms", "", 4096);
-  EXPECT_EQ(windowed.count, total);
-  WindowSummary summary = exporter.windows().Summarize(4096);
-  bool found_request_ms = false;
-  for (const HistogramSample& h : summary.histograms) {
-    if (h.name == "serve/request_ms" && h.labels.empty()) {
-      found_request_ms = true;
-      EXPECT_EQ(h.count, total);
-      EXPECT_GT(h.p999, 0.0);
-      EXPECT_GE(h.p999, h.p99);
-      EXPECT_LE(h.p999, h.max);
+  // The per-tick records partition the run: their serve/request_ms counts
+  // add up to every classified window, none lost or counted twice between
+  // ticks, and every tick that saw requests reports a tail quantile.
+  const std::vector<std::string> lines =
+      SplitLines(ReadFileOrEmpty(telemetry.output_prefix + ".jsonl"));
+  ASSERT_EQ(static_cast<int64_t>(lines.size()), exporter.ticks_completed());
+  int64_t recorded = 0;
+  for (const std::string& line : lines) {
+    const size_t at = line.find("\"serve/request_ms\":{",
+                                line.find("\"histograms\":{"));
+    if (at == std::string::npos) continue;  // before the first request
+    const double count = NumberAfter(line, "\"count\":", at);
+    recorded += static_cast<int64_t>(count);
+    if (count > 0) {
+      const double p99 = NumberAfter(line, "\"p99\":", at);
+      const double p999 = NumberAfter(line, "\"p999\":", at);
+      EXPECT_GT(p999, 0.0);
+      EXPECT_GE(p999, p99);
+      EXPECT_LE(p999, NumberAfter(line, "\"max\":", at));
     }
   }
-  EXPECT_TRUE(found_request_ms);
+  EXPECT_EQ(recorded, total);
 
   // Per-stage histograms are sum-consistent with the end-to-end latency:
   // every successful request recorded all three stages, and
@@ -448,18 +416,21 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   }
   EXPECT_GE(slowest_ms, 2.5);
 
-  // Artifacts: the exposition carries the windowed tail quantile and the
-  // failpoint stats; the JSONL stream carries the exemplars.
-  const std::string prom =
-      ReadFileOrEmpty(telemetry.output_prefix + ".prom");
-  EXPECT_NE(prom.find("pilote_serve_request_ms{quantile=\"0.999\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("pilote_failpoint_fires_total{name=\"serve/predict\"}"),
-            std::string::npos);
-  const std::string jsonl =
-      ReadFileOrEmpty(telemetry.output_prefix + ".jsonl");
-  EXPECT_NE(jsonl.find("\"exemplars\":[{\"sequence\":"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"serve/request_ms\""), std::string::npos);
+  // The JSONL stream carries the exemplars and, cumulatively, the
+  // injected failpoint's fires.
+  const std::string& last = lines.back();
+  EXPECT_NE(last.find("\"exemplars\":[{\"sequence\":"), std::string::npos);
+  int64_t fires = -1;
+  for (const fail::FailpointStats& stats :
+       fail::FailpointRegistry::Global().Stats()) {
+    if (stats.name == "serve/predict") fires = stats.fires;
+  }
+  EXPECT_GT(fires, 0);
+  const size_t predict = last.find("\"serve/predict\":{\"armed\":true",
+                                   last.find("\"failpoints\":{"));
+  ASSERT_NE(predict, std::string::npos);
+  EXPECT_EQ(NumberAfter(last, "\"fires\":", predict),
+            static_cast<double>(fires));
 }
 
 // ------------------------------------------------------------- watchdog
