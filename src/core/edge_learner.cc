@@ -42,6 +42,16 @@ NewDataSplit SplitNewData(const data::Dataset& scaled_new,
   return {scaled_new, scaled_new};
 }
 
+// Prototypes of every support-set class under `model`.
+NcmClassifier PrototypesOf(nn::MlpBackbone& model, const SupportSet& support) {
+  NcmClassifier classifier;
+  for (int label : support.Classes()) {
+    classifier.SetPrototypeFromEmbeddings(
+        label, EmbedBatched(model, support.ClassExemplars(label)));
+  }
+  return classifier;
+}
+
 }  // namespace
 
 EdgeLearner::EdgeLearner(const CloudArtifact& artifact,
@@ -68,31 +78,25 @@ EdgeLearner::EdgeLearner(std::unique_ptr<nn::MlpBackbone> model,
                          const PiloteConfig& config)
     : config_(config),
       scaler_(artifact.scaler),
-      model_(std::move(model)),
-      support_(artifact.support),
-      known_classes_(artifact.old_classes),
-      rng_(config.seed ^ 0x9E3779B97F4A7C15ULL) {
-  PILOTE_CHECK(model_ != nullptr);
-  model_->SetTraining(false);
+      state_{std::move(model), artifact.support, NcmClassifier(),
+             artifact.old_classes, Rng(config.seed ^ 0x9E3779B97F4A7C15ULL)} {
+  PILOTE_CHECK(state_.model != nullptr);
+  state_.model->SetTraining(false);
   RebuildPrototypes();
 }
 
-data::Dataset EdgeLearner::Scale(const data::Dataset& raw) const {
-  return scaler_.Transform(raw);
-}
-
 Tensor EdgeLearner::EmbedRaw(const Tensor& raw_features) const {
-  return EmbedBatched(*model_, scaler_.Transform(raw_features));
+  return EmbedBatched(*state_.model, scaler_.Transform(raw_features));
 }
 
 std::vector<int> EdgeLearner::PredictLabels(
     const Tensor& raw_features) const {
   if (plan_ == nullptr) {
     PILOTE_METRIC_COUNT("exec/fallback_windows", raw_features.rows());
-    return classifier_.Predict(EmbedRaw(raw_features));
+    return state_.classifier.Predict(EmbedRaw(raw_features));
   }
-  // The plan is recaptured inside every mutation, so a live plan always
-  // matches model_version().
+  // Every mutation publishes its plan with its version, so a live plan
+  // always matches model_version().
   PILOTE_DCHECK(plan_->version() == model_version());
   // hotpath-ok: the per-call output labels
   std::vector<int> labels;
@@ -131,87 +135,62 @@ double EdgeLearner::Evaluate(const data::Dataset& raw_test) const {
 }
 
 int64_t EdgeLearner::ModelParameters() const {
-  return model_->NumParameters();
+  return state_.model->NumParameters();
 }
 
 int64_t EdgeLearner::ModelStateBytes() const {
   int64_t state_elements = 0;
-  for (const Tensor* tensor : model_->StateTensors()) {
+  for (const Tensor* tensor : state_.model->StateTensors()) {
     state_elements += tensor->numel();
   }
   return state_elements * static_cast<int64_t>(sizeof(float));
 }
 
-EdgeLearner::Snapshot EdgeLearner::TakeSnapshot() const {
-  return Snapshot{model_->Clone(), support_, classifier_, known_classes_,
-                  rng_};
-}
-
-void EdgeLearner::RestoreSnapshot(Snapshot snapshot) {
-  model_ = std::move(snapshot.model);
-  model_->SetTraining(false);
-  support_ = std::move(snapshot.support);
-  classifier_ = std::move(snapshot.classifier);
-  known_classes_ = std::move(snapshot.known_classes);
-  rng_ = snapshot.rng;
-  // The aborted update may have published intermediate prototypes; force
-  // version-watching callers (serving shards) to refresh.
-  model_version_.fetch_add(1, std::memory_order_relaxed);
-  // The aborted update may also have captured a plan over intermediate
-  // state; recapture from the restored members.
-  RebuildInferencePlan();
-}
-
-void EdgeLearner::RebuildInferencePlan() {
-  // Drop the old plan first: after a mutation it describes stale weights
-  // and prototypes, so "no plan" (eager fallback) is the only safe state
-  // until the new capture commits.
-  plan_.reset();
-  if (!compiled_inference_enabled_) return;
-  if (classifier_.NumClasses() == 0) return;
+std::shared_ptr<const exec::InferencePlan> EdgeLearner::CapturePlan(
+    const State& state, int64_t version) const {
+  if (!compiled_inference_enabled_) return nullptr;
+  if (state.classifier.NumClasses() == 0) return nullptr;
+  auto failed = [](const char* step, const Status& status) {
+    PILOTE_METRIC_COUNT("exec/capture_failures", 1);
+    PILOTE_LOG(Warning) << step << " failed (eager fallback): "
+                        << status.ToString();
+    return std::shared_ptr<const exec::InferencePlan>();
+  };
 
   exec::PlanBuilder builder;
-  exec::ValueRef x = builder.DeclareInput(model_->input_dim());
+  exec::ValueRef x = builder.DeclareInput(state.model->input_dim());
   x = builder.Standardize(x, scaler_.mean(), scaler_.stddev());
-  Status captured = model_->CaptureInference(builder, x);
-  if (!captured.ok()) {
-    PILOTE_METRIC_COUNT("exec/capture_failures", 1);
-    PILOTE_LOG(Warning) << "inference plan capture failed (eager fallback): "
-                        << captured.ToString();
-    return;
-  }
+  Status captured = state.model->CaptureInference(builder, x);
+  if (!captured.ok()) return failed("inference plan capture", captured);
   builder.MarkOutput(x);
-  Status tail = classifier_.CapturePredict(builder, x);
-  if (!tail.ok()) {
-    PILOTE_METRIC_COUNT("exec/capture_failures", 1);
-    PILOTE_LOG(Warning) << "classify-tail capture failed (eager fallback): "
-                        << tail.ToString();
-    return;
-  }
+  Status tail = state.classifier.CapturePredict(builder, x);
+  if (!tail.ok()) return failed("classify-tail capture", tail);
   Result<std::shared_ptr<const exec::InferencePlan>> plan =
-      builder.Finish(model_version());
-  if (!plan.ok()) {
-    PILOTE_METRIC_COUNT("exec/capture_failures", 1);
-    PILOTE_LOG(Warning) << "inference plan finish failed (eager fallback): "
-                        << plan.status().ToString();
-    return;
-  }
-  plan_ = std::move(plan).value();
+      builder.Finish(version);
+  if (!plan.ok()) return failed("inference plan finish", plan.status());
   PILOTE_METRIC_COUNT("exec/plan_rebuilds", 1);
+  return std::move(plan).value();
 }
 
 void EdgeLearner::SetCompiledInferenceEnabled(bool enabled) {
   compiled_inference_enabled_ = enabled;
-  RebuildInferencePlan();
+  plan_ = CapturePlan(state_, model_version());
 }
 
 Result<TrainReport> EdgeLearner::LearnNewClasses(const data::Dataset& d_new) {
-  PILOTE_TRACE_SPAN("core/learn_new_classes");
+  PILOTE_ASSIGN_OR_RETURN(StagedUpdate update, StageNewClasses(d_new));
+  CommitNewClasses(update);
+  return update.report;
+}
+
+Result<EdgeLearner::StagedUpdate> EdgeLearner::StageNewClasses(
+    const data::Dataset& d_new) const {
+  PILOTE_TRACE_SPAN("core/stage_new_classes");
   if (d_new.empty()) {
     return Status::InvalidArgument("LearnNewClasses: d_new is empty");
   }
   for (int label : d_new.Classes()) {
-    if (support_.HasClass(label)) {
+    if (state_.support.HasClass(label)) {
       return Status::InvalidArgument("LearnNewClasses: class " +
                                      std::to_string(label) +
                                      " already known");
@@ -219,21 +198,30 @@ Result<TrainReport> EdgeLearner::LearnNewClasses(const data::Dataset& d_new) {
   }
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/begin"));
 
-  Snapshot snapshot = TakeSnapshot();
-  Result<TrainReport> result = DoLearnNewClasses(Scale(d_new));
-  if (result.ok()) {
-    Status commit = PILOTE_FAILPOINT("core/learn/commit");
-    if (commit.ok()) return result;
-    RestoreSnapshot(std::move(snapshot));
-    return commit;
-  }
-  RestoreSnapshot(std::move(snapshot));
-  return result.status();
+  StagedUpdate update{State{state_.model->Clone(), state_.support,
+                            state_.classifier, state_.known_classes,
+                            state_.rng},
+                      /*plan=*/nullptr, model_version() + 1, TrainReport{}};
+  State& staged = update.state;
+  PILOTE_ASSIGN_OR_RETURN(update.report,
+                          DoLearnNewClasses(scaler_.Transform(d_new), staged));
+  staged.classifier = PrototypesOf(*staged.model, staged.support);
+  update.plan = CapturePlan(staged, update.version);
+  PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/commit"));
+  return update;
+}
+
+void EdgeLearner::CommitNewClasses(StagedUpdate& update) {
+  PILOTE_CHECK_EQ(update.version, model_version() + 1)
+      << "the learner changed since this update was staged";
+  std::swap(state_, update.state);
+  std::swap(plan_, update.plan);
+  model_version_.store(update.version, std::memory_order_relaxed);
 }
 
 Status EdgeLearner::ApplySupportSetUpdate(SupportSet support) {
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/support_update/begin"));
-  const int64_t input_dim = model_->input_dim();
+  const int64_t input_dim = state_.model->input_dim();
   for (int label : support.Classes()) {
     const Tensor& exemplars = support.ClassExemplars(label);
     if (exemplars.rows() == 0) {
@@ -249,24 +237,19 @@ Status EdgeLearner::ApplySupportSetUpdate(SupportSet support) {
     }
   }
   // Build the replacement prototypes aside; the live classifier is only
-  // swapped once every class embedded cleanly.
-  NcmClassifier fresh;
-  for (int label : support.Classes()) {
-    PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/support_update/embed"));
-    Tensor embeddings = EmbedBatched(*model_, support.ClassExemplars(label));
-    fresh.SetPrototypeFromEmbeddings(label, embeddings);
-  }
-  support_ = std::move(support);
-  classifier_ = std::move(fresh);
+  // swapped once they are complete.
+  PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/support_update/embed"));
+  state_.classifier = PrototypesOf(*state_.model, support);
+  state_.support = std::move(support);
   model_version_.fetch_add(1, std::memory_order_relaxed);
-  RebuildInferencePlan();
+  plan_ = CapturePlan(state_, model_version());
   return Status::Ok();
 }
 
 Status EdgeLearner::AdaptPrototype(int label, const Tensor& raw_features,
                                    double rate) {
   PILOTE_TRACE_SPAN("core/adapt_prototype");
-  if (!classifier_.HasPrototype(label)) {
+  if (!state_.classifier.HasPrototype(label)) {
     return Status::InvalidArgument("AdaptPrototype: unknown class " +
                                    std::to_string(label));
   }
@@ -274,11 +257,11 @@ Status EdgeLearner::AdaptPrototype(int label, const Tensor& raw_features,
     return Status::InvalidArgument(
         "AdaptPrototype: need a non-empty [n, d] row matrix");
   }
-  if (raw_features.cols() != model_->input_dim()) {
+  if (raw_features.cols() != state_.model->input_dim()) {
     return Status::InvalidArgument(
         "AdaptPrototype: feature width " +
         std::to_string(raw_features.cols()) + " does not match backbone " +
-        std::to_string(model_->input_dim()));
+        std::to_string(state_.model->input_dim()));
   }
   if (!(rate > 0.0 && rate <= 1.0)) {
     return Status::InvalidArgument("AdaptPrototype: rate " +
@@ -286,7 +269,7 @@ Status EdgeLearner::AdaptPrototype(int label, const Tensor& raw_features,
                                    " outside (0, 1]");
   }
   const Tensor embeddings = EmbedRaw(raw_features);
-  const Tensor& current = classifier_.prototype(label);
+  const Tensor& current = state_.classifier.prototype(label);
   Tensor blended(current.shape());
   const int64_t dim = embeddings.cols();
   const float keep = static_cast<float>(1.0 - rate);
@@ -300,56 +283,51 @@ Status EdgeLearner::AdaptPrototype(int label, const Tensor& raw_features,
     mean *= inv_rows;
     blended[d] = keep * current[d] + pull * mean;
   }
-  classifier_.SetPrototype(label, std::move(blended));
+  state_.classifier.SetPrototype(label, std::move(blended));
   model_version_.fetch_add(1, std::memory_order_relaxed);
-  RebuildInferencePlan();
+  plan_ = CapturePlan(state_, model_version());
   PILOTE_METRIC_COUNT("core/prototype_adaptations", 1);
   return Status::Ok();
 }
 
 void EdgeLearner::EnforceSupportBudget(int64_t cache_size) {
-  support_.EnforceCacheSize(cache_size);
+  state_.support.EnforceCacheSize(cache_size);
   RebuildPrototypes();
 }
 
 void EdgeLearner::RebuildPrototypes() {
-  classifier_.Clear();
-  for (int label : support_.Classes()) {
-    Tensor embeddings =
-        EmbedBatched(*model_, support_.ClassExemplars(label));
-    classifier_.SetPrototypeFromEmbeddings(label, embeddings);
-  }
+  state_.classifier = PrototypesOf(*state_.model, state_.support);
   model_version_.fetch_add(1, std::memory_order_relaxed);
-  RebuildInferencePlan();
+  plan_ = CapturePlan(state_, model_version());
 }
 
-void EdgeLearner::EnrichSupportSet(const data::Dataset& scaled_new) {
+void EdgeLearner::EnrichSupportSet(const data::Dataset& scaled_new,
+                                   State& state) const {
   PILOTE_TRACE_SPAN("core/enrich_support_set");
   for (int label : scaled_new.Classes()) {
-    PILOTE_CHECK(!support_.HasClass(label))
+    PILOTE_CHECK(!state.support.HasClass(label))
         << "class " << label << " already known";
     data::Dataset class_rows = scaled_new.FilterByClass(label);
     data::Dataset sampled =
-        data::SampleRows(class_rows, config_.exemplars_per_class, rng_);
-    support_.SetClassExemplars(label, sampled.features());
-    known_classes_.push_back(label);
+        data::SampleRows(class_rows, config_.exemplars_per_class, state.rng);
+    state.support.SetClassExemplars(label, sampled.features());
+    state.known_classes.push_back(label);
     PILOTE_METRIC_COUNT("core/classes_ingested", 1);
     PILOTE_METRIC_COUNT("core/exemplars_cached", sampled.size());
   }
-  std::sort(known_classes_.begin(), known_classes_.end());
+  std::sort(state.known_classes.begin(), state.known_classes.end());
 }
 
 Result<TrainReport> PretrainedLearner::DoLearnNewClasses(
-    const data::Dataset& scaled_new) {
-  EnrichSupportSet(scaled_new);
+    const data::Dataset& scaled_new, State& state) const {
+  EnrichSupportSet(scaled_new, state);
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/mid"));
   // No training: the frozen embedding space simply gains prototypes.
-  RebuildPrototypes();
   return TrainReport{};
 }
 
 Result<TrainReport> RetrainedLearner::DoLearnNewClasses(
-    const data::Dataset& scaled_new) {
+    const data::Dataset& scaled_new, State& state) const {
   // Table 2's "without considering the catastrophic forgetting problem"
   // baseline: re-run the cloud's contrastive training recipe on the
   // enriched support set (balanced pairs over ALL classes — the paper's
@@ -357,52 +335,48 @@ Result<TrainReport> RetrainedLearner::DoLearnNewClasses(
   // baseline keeps the unreduced pool) with none of PILOTE's forgetting
   // counter-measures: no distillation term, free batch-norm statistics,
   // no stop-gradient anchoring.
-  EnrichSupportSet(scaled_new);
+  EnrichSupportSet(scaled_new, state);
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/mid"));
-  data::Dataset enriched = support_.ToDataset();
+  data::Dataset enriched = state.support.ToDataset();
   NewDataSplit split =
-      SplitNewData(enriched, config_.validation_fraction, rng_);
+      SplitNewData(enriched, config_.validation_fraction, state.rng);
   losses::PairSampler train_sampler(split.train.features(),
                                     split.train.labels(),
                                     losses::PairStrategy::kBalancedRandom,
-                                    rng_.NextUint64());
+                                    state.rng.NextUint64());
   losses::PairSampler val_sampler(split.val.features(), split.val.labels(),
                                   losses::PairStrategy::kBalancedRandom,
-                                  rng_.NextUint64());
+                                  state.rng.NextUint64());
 
   TrainerOptions options = config_.incremental;
   options.freeze_batchnorm_stats = false;
   options.anchor_old_pair_side = false;
-  SiameseTrainer trainer(*model_, options);
-  TrainReport report =
-      trainer.Train(train_sampler, val_sampler, /*distill=*/nullptr);
-
-  RebuildPrototypes();
-  return report;
+  SiameseTrainer trainer(*state.model, options);
+  return trainer.Train(train_sampler, val_sampler, /*distill=*/nullptr);
 }
 
 Result<TrainReport> PiloteLearner::DoLearnNewClasses(
-    const data::Dataset& scaled_new) {
+    const data::Dataset& scaled_new, State& state) const {
   // Snapshot the teacher BEFORE any update: phi_old of the old exemplars
   // anchors the distillation term (Algo 1 line 11).
-  data::Dataset old_support = support_.ToDataset();
+  data::Dataset old_support = state.support.ToDataset();
   DistillationTask distill;
   distill.features = old_support.features();
   distill.teacher_embeddings =
-      EmbedBatched(*model_, old_support.features());
+      EmbedBatched(*state.model, old_support.features());
   distill.alpha = config_.alpha;
   distill.batch_size = config_.distill_batch_size;
 
   // Contrastive term over the reduced pair set (Sec 5.2): old x new cross
   // pairs plus new x new pairs.
   NewDataSplit split =
-      SplitNewData(scaled_new, config_.validation_fraction, rng_);
+      SplitNewData(scaled_new, config_.validation_fraction, state.rng);
   losses::PairSampler train_sampler(
       old_support.features(), old_support.labels(), split.train.features(),
-      split.train.labels(), config_.incremental_pairs, rng_.NextUint64());
+      split.train.labels(), config_.incremental_pairs, state.rng.NextUint64());
   losses::PairSampler val_sampler(
       old_support.features(), old_support.labels(), split.val.features(),
-      split.val.labels(), config_.incremental_pairs, rng_.NextUint64());
+      split.val.labels(), config_.incremental_pairs, state.rng.NextUint64());
 
   // Frozen normalization statistics are part of PILOTE's knowledge
   // preservation: the distillation anchor is only meaningful if the
@@ -410,50 +384,47 @@ Result<TrainReport> PiloteLearner::DoLearnNewClasses(
   TrainerOptions options = config_.incremental;
   options.freeze_batchnorm_stats = true;
   options.anchor_old_pair_side = config_.anchor_old_pair_side;
-  SiameseTrainer trainer(*model_, options);
+  SiameseTrainer trainer(*state.model, options);
   TrainReport report = trainer.Train(train_sampler, val_sampler, &distill);
 
-  // The model has already moved; a fault here must roll the weights back
-  // too, which is exactly what the wrapper's snapshot covers.
+  // The staged model has already moved; a fault here discards it with the
+  // rest of the staged state.
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/mid"));
-  EnrichSupportSet(scaled_new);
-  RebuildPrototypes();
+  EnrichSupportSet(scaled_new, state);
   return report;
 }
 
 Result<TrainReport> GdumbLearner::DoLearnNewClasses(
-    const data::Dataset& scaled_new) {
-  EnrichSupportSet(scaled_new);
+    const data::Dataset& scaled_new, State& state) const {
+  EnrichSupportSet(scaled_new, state);
   PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("core/learn/mid"));
   // Greedy balancing: every class keeps at most the size of the smallest
   // class' cache (GDumb's balanced reservoir).
   int64_t smallest = config_.exemplars_per_class;
-  for (int label : support_.Classes()) {
-    smallest = std::min(smallest, support_.CountForClass(label));
+  for (int label : state.support.Classes()) {
+    smallest = std::min(smallest, state.support.CountForClass(label));
   }
-  support_.TrimPerClass(std::max<int64_t>(1, smallest));
+  state.support.TrimPerClass(std::max<int64_t>(1, smallest));
 
   // Retrain from scratch: the transferred weights are discarded entirely.
   Rng init_rng(config_.seed ^ 0xD00DULL);
-  model_ = std::make_unique<nn::MlpBackbone>(config_.backbone, init_rng);
+  state.model = std::make_unique<nn::MlpBackbone>(config_.backbone, init_rng);
 
-  data::Dataset cache = support_.ToDataset();
-  NewDataSplit split = SplitNewData(cache, config_.validation_fraction, rng_);
+  data::Dataset cache = state.support.ToDataset();
+  NewDataSplit split =
+      SplitNewData(cache, config_.validation_fraction, state.rng);
   losses::PairSampler train_sampler(split.train.features(),
                                     split.train.labels(),
                                     losses::PairStrategy::kBalancedRandom,
-                                    rng_.NextUint64());
+                                    state.rng.NextUint64());
   losses::PairSampler val_sampler(split.val.features(), split.val.labels(),
                                   losses::PairStrategy::kBalancedRandom,
-                                  rng_.NextUint64());
+                                  state.rng.NextUint64());
   TrainerOptions options = config_.incremental;
   options.freeze_batchnorm_stats = false;  // fresh model, fresh statistics
   options.anchor_old_pair_side = false;
-  SiameseTrainer trainer(*model_, options);
-  TrainReport report =
-      trainer.Train(train_sampler, val_sampler, /*distill=*/nullptr);
-  RebuildPrototypes();
-  return report;
+  SiameseTrainer trainer(*state.model, options);
+  return trainer.Train(train_sampler, val_sampler, /*distill=*/nullptr);
 }
 
 Status ValidateArtifact(const CloudArtifact& artifact,

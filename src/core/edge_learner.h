@@ -25,21 +25,22 @@ namespace core {
 // LearnNewClasses integrates a batch of new-class samples; each subclass
 // implements the paper's corresponding update strategy.
 //
-// Thread-safety contract (what the serving layer's shard locks enforce
-// through the type system): every const member is a pure read and safe to
-// call concurrently with other const members; every mutation goes through
-// a named non-const operation (LearnNewClasses, ApplySupportSetUpdate,
+// Thread-safety contract (what the serving layer's locks enforce through
+// the type system): every const member is a pure read and safe to call
+// concurrently with other const members; every mutation goes through a
+// named non-const operation (CommitNewClasses, ApplySupportSetUpdate,
 // EnforceSupportBudget, AdaptPrototype, RebuildPrototypes) that requires
 // exclusive access. A const Predict writes only its own output and the
 // calling thread's replay arena (exec/executor.h), so concurrent
-// predictions all run the compiled plan.
+// predictions all run the compiled plan. An update trains aside
+// (StageNewClasses is const) and only its O(1) commit is a mutation.
 //
 // Inference runs through a compiled plan (exec::InferencePlan) captured
-// from the scaler + backbone + NCM tail after every completed mutation;
-// the plan is version-tagged with model_version() and rebuilt
-// transactionally (swap-on-commit: a failed capture leaves no plan and
-// predictions run the eager tape, never a stale plan). The eager tape
-// runs only while no plan is live: after a failed capture, or after
+// from the scaler + backbone + NCM tail for every completed mutation and
+// published with the state it was captured from, version-tagged with
+// model_version(). A failed capture leaves no plan and predictions run
+// the eager tape, never a stale plan. The eager tape runs only while no
+// plan is live: after a failed capture, or after
 // SetCompiledInferenceEnabled(false).
 class EdgeLearner {
  public:
@@ -54,20 +55,43 @@ class EdgeLearner {
   EdgeLearner(const EdgeLearner&) = delete;
   EdgeLearner& operator=(const EdgeLearner&) = delete;
 
-  // Integrates `d_new` (raw feature rows of previously unseen classes).
-  // The rows of `d_new` are the entire new-class data available at the
-  // extreme edge (D_n of Algo 1); the caller controls its size (Figure 7
-  // sweeps it). Returns the training report (empty for the pre-trained
-  // baseline, which does not train).
-  //
-  // Transactional: on any non-OK return — an empty or already-known input
-  // (kInvalidArgument) or an injected/real mid-update fault — the learner
-  // is rolled back to its pre-call state (model weights, support set,
-  // prototypes, known classes and RNG stream are all bit-identical), so a
-  // failed update can simply be retried. Strategy-specific work lives in
-  // DoLearnNewClasses.
-  // Failpoints: "core/learn/begin", "core/learn/mid", "core/learn/commit".
+  // Every member an incremental update may change.
+  struct State {
+    std::unique_ptr<nn::MlpBackbone> model;
+    SupportSet support;
+    NcmClassifier classifier;
+    std::vector<int> known_classes;
+    Rng rng;
+  };
+
+  // An update trained aside by StageNewClasses: the staged state, with its
+  // prototypes rebuilt and its plan captured at `version`.
+  struct StagedUpdate {
+    State state;
+    std::shared_ptr<const exec::InferencePlan> plan;
+    int64_t version = 0;
+    TrainReport report;
+  };
+
+  // Integrates `d_new` (raw feature rows of previously unseen classes, the
+  // D_n of Algo 1; Figure 7 sweeps its size): StageNewClasses, then
+  // CommitNewClasses. Returns the training report (empty for the
+  // pre-trained baseline, which does not train). A non-OK return leaves
+  // the learner untouched, so a failed update can simply be retried.
   Result<TrainReport> LearnNewClasses(const data::Dataset& d_new);
+
+  // Validates `d_new` (kInvalidArgument for an empty batch or a known
+  // class), runs the strategy body (DoLearnNewClasses) on a deep copy of
+  // the state, rebuilds its prototypes and captures its plan. A pure read
+  // of the live learner, so predictions may run concurrently.
+  // Failpoints: "core/learn/begin", "core/learn/mid", "core/learn/commit".
+  Result<StagedUpdate> StageNewClasses(const data::Dataset& d_new) const;
+
+  // Swaps the staged state and plan in and publishes their version: O(1),
+  // exclusive access. CHECKs that nothing else changed the learner since
+  // the stage. `update` is left holding the old state, so the caller
+  // decides where it is freed.
+  void CommitNewClasses(StagedUpdate& update);
 
   // NCM inference on raw feature rows.
   PILOTE_HOT_PATH std::vector<int> Predict(const Tensor& raw_features) const;
@@ -83,10 +107,12 @@ class EdgeLearner {
   // Embeds raw feature rows (scaling + model forward).
   Tensor EmbedRaw(const Tensor& raw_features) const;
 
-  const NcmClassifier& classifier() const { return classifier_; }
-  const SupportSet& support() const { return support_; }
-  const nn::MlpBackbone& model() const { return *model_; }
-  const std::vector<int>& known_classes() const { return known_classes_; }
+  const NcmClassifier& classifier() const { return state_.classifier; }
+  const SupportSet& support() const { return state_.support; }
+  const nn::MlpBackbone& model() const { return *state_.model; }
+  const std::vector<int>& known_classes() const {
+    return state_.known_classes;
+  }
   const PiloteConfig& config() const { return config_; }
 
   // Model footprint, exposed so profiling never needs mutable model access.
@@ -143,50 +169,32 @@ class EdgeLearner {
   void RebuildPrototypes();
 
  protected:
-  // Strategy body, called by LearnNewClasses with the already-scaled new
-  // data after validation and state snapshotting. Implementations mutate
-  // freely; the wrapper restores the snapshot if they return non-OK.
+  // Strategy body, called by StageNewClasses with the already-scaled new
+  // data and the staged copy of the state, which it may mutate freely.
   virtual Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new) = 0;
+      const data::Dataset& scaled_new, State& state) const = 0;
 
-  // Adds new-class rows to the support set: keeps up to
+  // Adds new-class rows to `state`'s support set: keeps up to
   // config.exemplars_per_class rows per class, chosen uniformly at random
   // as in the paper ("enriches the support set with random new-class
   // data"), and registers the classes as known.
-  void EnrichSupportSet(const data::Dataset& scaled_new);
-
-  // Scales a raw dataset with the cloud scaler.
-  data::Dataset Scale(const data::Dataset& raw) const;
+  void EnrichSupportSet(const data::Dataset& scaled_new, State& state) const;
 
   PiloteConfig config_;
   data::StandardScaler scaler_;
-  std::unique_ptr<nn::MlpBackbone> model_;
-  SupportSet support_;
-  NcmClassifier classifier_;
-  std::vector<int> known_classes_;
-  Rng rng_;
 
  private:
-  // Deep copy of every member a DoLearnNewClasses body may mutate.
-  struct Snapshot {
-    std::unique_ptr<nn::MlpBackbone> model;
-    SupportSet support;
-    NcmClassifier classifier;
-    std::vector<int> known_classes;
-    Rng rng;
-  };
-  Snapshot TakeSnapshot() const;
-  void RestoreSnapshot(Snapshot snapshot);
-
-  // Recaptures the compiled plan from the current scaler + model +
-  // classifier. Called at the end of every completed mutation; any capture
-  // failure leaves plan_ null (eager fallback) rather than a stale plan.
-  void RebuildInferencePlan();
+  // The compiled plan of `state` (scaler + model + classifier), tagged
+  // `version`; nullptr (eager fallback) when compiled inference is off,
+  // there are no classes yet, or the capture failed.
+  std::shared_ptr<const exec::InferencePlan> CapturePlan(
+      const State& state, int64_t version) const;
   // Labels for raw feature rows: the compiled plan when one is live, the
   // eager tape otherwise. Predict and PredictBatch both run through here.
   PILOTE_HOT_PATH std::vector<int> PredictLabels(
       const Tensor& raw_features) const;
 
+  State state_;
   std::atomic<int64_t> model_version_{0};
   bool compiled_inference_enabled_ = true;
   std::shared_ptr<const exec::InferencePlan> plan_;
@@ -200,7 +208,7 @@ class PretrainedLearner : public EdgeLearner {
 
  protected:
   Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new) override;
+      const data::Dataset& scaled_new, State& state) const override;
 };
 
 // Baseline 2 (Sec 6.1.3, Table 2's "without considering the catastrophic
@@ -214,7 +222,7 @@ class RetrainedLearner : public EdgeLearner {
 
  protected:
   Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new) override;
+      const data::Dataset& scaled_new, State& state) const override;
 };
 
 // PILOTE (Algo 1, edge part): joint distillation + contrastive objective
@@ -225,7 +233,7 @@ class PiloteLearner : public EdgeLearner {
 
  protected:
   Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new) override;
+      const data::Dataset& scaled_new, State& state) const override;
 };
 
 // Extra continual-learning baseline from the paper's related work
@@ -240,7 +248,7 @@ class GdumbLearner : public EdgeLearner {
 
  protected:
   Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new) override;
+      const data::Dataset& scaled_new, State& state) const override;
 };
 
 // Validates that `artifact` can seed an edge learner under `config`:

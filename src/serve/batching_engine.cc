@@ -175,17 +175,39 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
     }
     const Tensor& features = flush_features_;
 
+    // Runs under the predict's shared lock: windows are resolved before a
+    // newer version is published, and exemplars name the labeling version.
+    const auto predict_start = std::chrono::steady_clock::now();
+    auto complete = [&](const std::vector<int>& labels,
+                        int64_t model_version) {
+      const auto predict_end = std::chrono::steady_clock::now();
+      PILOTE_CHECK_EQ(labels.size(), rows.size());
+      for (size_t k = 0; k < rows.size(); ++k) {
+        PredictRequest& request = batch[rows[k]];
+        const int smoothed = request.session->CompleteWindow(labels[k]);
+        request.done.set_value(smoothed);
+        using MilliDouble = std::chrono::duration<double, std::milli>;
+        const double request_ms =
+            MilliDouble(std::chrono::steady_clock::now() -
+                        request.enqueue_time)
+                .count();
+        PILOTE_METRIC_HISTOGRAM("serve/request_ms", request_ms);
+        if (obs::Enabled()) {
+          RecordStages(request, model_version, predict_start, predict_end,
+                       request_ms);
+        }
+      }
+    };
+
     // Bounded retry-with-backoff on transient faults: the learner forward
     // may report kUnavailable (in production a device-side brownout, in the
     // chaos suite the "serve/predict" failpoint). Anything else fails the
     // batch immediately — retrying a deterministic error only burns the
     // latency budget.
-    const auto predict_start = std::chrono::steady_clock::now();
-    Result<std::vector<int>> labels =
-        group_keys_[g]->TryPredictBatch(features);
-    for (int attempt = 0;
-         !labels.ok() && labels.status().code() == StatusCode::kUnavailable &&
-         attempt < options_.predict_retries;
+    Status served = group_keys_[g]->TryPredictBatch(features, complete);
+    for (int attempt = 0; !served.ok() &&
+                          served.code() == StatusCode::kUnavailable &&
+                          attempt < options_.predict_retries;
          ++attempt) {
       PILOTE_METRIC_COUNT("serve/faults_injected", 1);
       if (options_.retry_backoff_us > 0) {
@@ -193,11 +215,11 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(options_.retry_backoff_us << attempt));
       }
-      labels = group_keys_[g]->TryPredictBatch(features);
-      if (labels.ok()) PILOTE_METRIC_COUNT("serve/recoveries", 1);
+      served = group_keys_[g]->TryPredictBatch(features, complete);
+      if (served.ok()) PILOTE_METRIC_COUNT("serve/recoveries", 1);
     }
 
-    if (!labels.ok()) {
+    if (!served.ok()) {
       // Retry budget exhausted (or non-transient): complete every request
       // degraded with the session's last smoothed label, leaving the vote
       // history untouched — the same contract as a deadline miss.
@@ -206,23 +228,6 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
       for (size_t k = 0; k < rows.size(); ++k) {
         PredictRequest& request = batch[rows[k]];
         request.done.set_value(request.session->LastPrediction().label);
-      }
-      continue;
-    }
-
-    const auto predict_end = std::chrono::steady_clock::now();
-    PILOTE_CHECK_EQ(labels.value().size(), rows.size());
-    for (size_t k = 0; k < rows.size(); ++k) {
-      PredictRequest& request = batch[rows[k]];
-      const int smoothed = request.session->CompleteWindow(labels.value()[k]);
-      request.done.set_value(smoothed);
-      using MilliDouble = std::chrono::duration<double, std::milli>;
-      const double request_ms =
-          MilliDouble(std::chrono::steady_clock::now() - request.enqueue_time)
-              .count();
-      PILOTE_METRIC_HISTOGRAM("serve/request_ms", request_ms);
-      if (obs::Enabled()) {
-        RecordStages(request, predict_start, predict_end, request_ms);
       }
     }
   }
@@ -248,7 +253,7 @@ void BatchingEngine::CountDegradedFault(int64_t rows) {
 }
 
 void BatchingEngine::RecordStages(
-    const PredictRequest& request,
+    const PredictRequest& request, int64_t model_version,
     std::chrono::steady_clock::time_point predict_start,
     std::chrono::steady_clock::time_point predict_end, double request_ms) {
   using MilliDouble = std::chrono::duration<double, std::milli>;
@@ -273,7 +278,7 @@ void BatchingEngine::RecordStages(
     }
     obs::SlowWindowExemplar exemplar;
     exemplar.session_id = request.session->id();
-    exemplar.model_version = request.session->learner()->model_version();
+    exemplar.model_version = model_version;
     exemplar.queue_wait_ms = queue_wait_ms;
     exemplar.batch_wait_ms = batch_wait_ms;
     exemplar.predict_ms = predict_ms;

@@ -78,8 +78,9 @@ class BatchingEngine {
       PILOTE_EXCLUDES(stats_mutex_);
   // Stage histograms + slow-window exemplar capture for one completed
   // request (called on the success path so stage counts match
-  // serve/request_ms).
+  // serve/request_ms). `model_version` is the version that labeled it.
   PILOTE_HOT_PATH void RecordStages(const PredictRequest& request,
+                                    int64_t model_version,
                                     std::chrono::steady_clock::time_point
                                         predict_start,
                                     std::chrono::steady_clock::time_point

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/failpoint.h"
 #include "obs/trace.h"
 
 namespace pilote {
@@ -32,18 +31,21 @@ std::vector<int> LearnerHandle::PredictBatch(const Tensor& raw_features) const {
   return learner_->PredictBatch(raw_features);
 }
 
-Result<std::vector<int>> LearnerHandle::TryPredictBatch(
-    const Tensor& raw_features) const {
-  PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("serve/predict"));
-  ReaderLock lock(mutex_);
-  return learner_->PredictBatch(raw_features);
-}
-
 Result<core::TrainReport> LearnerHandle::LearnNewClasses(
     const data::Dataset& d_new) {
   PILOTE_TRACE_SPAN("serve/learn_new_classes");
-  WriterLock lock(mutex_);
-  return learner_->LearnNewClasses(d_new);
+  MutexLock serialized(update_mutex_);
+  Result<core::EdgeLearner::StagedUpdate> update = [&] {
+    ReaderLock lock(mutex_);
+    return learner_->StageNewClasses(d_new);
+  }();
+  if (!update.ok()) return update.status();
+  {
+    WriterLock lock(mutex_);
+    learner_->CommitNewClasses(*update);
+  }
+  // `update` now holds the old state, freed outside the exclusive lock.
+  return update->report;
 }
 
 int64_t LearnerHandle::NumKnownClasses() const {

@@ -62,9 +62,8 @@ class SessionManager {
   Result<Prediction> PushWindow(SessionId id, const Tensor& features,
                                 std::chrono::microseconds deadline);
 
-  // Incremental update through the session's learner. Takes the learner's
-  // exclusive lock, quiescing every stream that predicts through it for
-  // the duration of the update.
+  // Incremental update through the session's learner; its streams keep
+  // being served while the update trains (LearnerHandle).
   Result<core::TrainReport> LearnNewClasses(SessionId id,
                                             const data::Dataset& d_new);
 

@@ -117,9 +117,12 @@ Status RunCycle(const ChaosTest::State& state, const std::string& path,
   }
 
   serve::LearnerHandle handle(std::move(learner));
-  Result<std::vector<int>> served = handle.TryPredictBatch(state.probe);
-  PILOTE_RETURN_IF_ERROR(served.status());
-  if (predictions_out != nullptr) *predictions_out = served.value();
+  std::vector<int> served;
+  PILOTE_RETURN_IF_ERROR(handle.TryPredictBatch(
+      state.probe, [&served](const std::vector<int>& labels, int64_t) {
+        served = labels;
+      }));
+  if (predictions_out != nullptr) *predictions_out = served;
   return Status::Ok();
 }
 

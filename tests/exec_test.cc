@@ -447,8 +447,13 @@ TEST_F(CompiledLearnerTest, FailedLearnRollsThePlanBackWithTheModel) {
   fail::ScopedFailpoints failpoints;
   auto learner = MakeLearner();
   const std::vector<int> before = learner->PredictBatch(state_->probe);
+  const int64_t version_before = learner->model_version();
+  const std::shared_ptr<const exec::InferencePlan> plan_before =
+      learner->inference_plan();
+  ASSERT_NE(plan_before, nullptr);
 
-  for (const char* point : {"core/learn/begin", "core/learn/commit"}) {
+  for (const char* point :
+       {"core/learn/begin", "core/learn/mid", "core/learn/commit"}) {
     SCOPED_TRACE(point);
     ASSERT_TRUE(fail::FailpointRegistry::Global()
                     .Arm(point, fail::FailpointSpec::Once())
@@ -456,12 +461,21 @@ TEST_F(CompiledLearnerTest, FailedLearnRollsThePlanBackWithTheModel) {
     Result<core::TrainReport> learned =
         learner->LearnNewClasses(state_->d_new);
     ASSERT_FALSE(learned.ok());
-    // The rolled-back learner must serve through a live plan again, and
-    // that plan must reproduce the pre-fault predictions exactly.
+    // A failed update never reached the live learner: the version and the
+    // very plan object are the ones from before, and they reproduce the
+    // pre-fault predictions exactly.
+    EXPECT_EQ(learner->model_version(), version_before);
+    EXPECT_EQ(learner->inference_plan(), plan_before);
     EXPECT_EQ(learner->plan_version(), learner->model_version());
-    ASSERT_NE(learner->inference_plan(), nullptr);
     EXPECT_EQ(learner->PredictBatch(state_->probe), before);
   }
+
+  // With the faults spent the update commits one version step, published
+  // together with the plan staged at it.
+  Result<core::TrainReport> learned = learner->LearnNewClasses(state_->d_new);
+  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+  EXPECT_EQ(learner->model_version(), version_before + 1);
+  EXPECT_EQ(learner->plan_version(), learner->model_version());
 }
 
 TEST_F(CompiledLearnerTest, FailedSupportUpdateKeepsTheLivePlan) {

@@ -18,6 +18,7 @@
 
 #include "common/alloc_tracker.h"
 #include "common/bounded_queue.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "core/cloud.h"
 #include "core/edge_learner.h"
@@ -61,9 +62,11 @@ core::CloudArtifact MakeTestArtifact(const core::PiloteConfig& config,
 
 core::PiloteConfig TestConfig() { return core::PiloteConfig::Small(); }
 
-std::shared_ptr<LearnerHandle> MakeHandle(const core::PiloteConfig& config) {
+std::shared_ptr<LearnerHandle> MakeHandle(
+    const core::PiloteConfig& config,
+    const std::string& strategy = "pretrained") {
   Result<std::shared_ptr<LearnerHandle>> handle =
-      LearnerHandle::Create("pretrained", MakeTestArtifact(config), config);
+      LearnerHandle::Create(strategy, MakeTestArtifact(config), config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
   return handle.value();
 }
@@ -71,6 +74,46 @@ std::shared_ptr<LearnerHandle> MakeHandle(const core::PiloteConfig& config) {
 Tensor RandomWindow(const core::PiloteConfig& config, Rng& rng) {
   return Tensor::RandNormal(
       Shape::Matrix(1, config.backbone.input_dim), rng);
+}
+
+// Rows of class 4, a cluster away from the artifact's classes 0-3.
+data::Dataset NewClassRows(const core::PiloteConfig& config, Rng& rng) {
+  return data::Dataset(
+      Tensor::RandNormal(Shape::Matrix(16, config.backbone.input_dim), rng,
+                         /*mean=*/8.0f, 0.25f),
+      std::vector<int>(16, 4));
+}
+
+// Epochs of a "pilote" update that lasts hundreds of milliseconds. Under
+// ThreadSanitizer training runs about 100x slower, so one epoch already
+// lasts seconds.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kLongUpdateEpochs = 1;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr int kLongUpdateEpochs = 1;
+#else
+constexpr int kLongUpdateEpochs = 12;
+#endif
+#else
+constexpr int kLongUpdateEpochs = 12;
+#endif
+
+// A config whose "pilote" update trains for all kLongUpdateEpochs epochs
+// (no early stop).
+core::PiloteConfig LongUpdateConfig() {
+  core::PiloteConfig config = TestConfig();
+  config.incremental.max_epochs = kLongUpdateEpochs;
+  config.incremental.early_stop_patience = config.incremental.max_epochs;
+  return config;
+}
+
+int64_t FailpointHits(const std::string& name) {
+  for (const fail::FailpointStats& stats :
+       fail::FailpointRegistry::Global().Stats()) {
+    if (stats.name == name) return stats.hits;
+  }
+  return 0;
 }
 
 // ------------------------------------------------------------ BoundedQueue
@@ -409,7 +452,7 @@ TEST(SessionManagerTest, ConcurrentMultiSessionIngest) {
             kThreads * kSessionsPerThread * kWindowsPerSession);
 }
 
-TEST(SessionManagerTest, LearnNewClassesQuiescesConcurrentIngest) {
+TEST(SessionManagerTest, LearnNewClassesAgainstConcurrentIngest) {
   core::PiloteConfig config = TestConfig();
   std::shared_ptr<LearnerHandle> handle = MakeHandle(config);
   ServeOptions options;
@@ -429,19 +472,112 @@ TEST(SessionManagerTest, LearnNewClassesQuiescesConcurrentIngest) {
     }
   });
 
-  // New class 4 arrives mid-stream; the exclusive lock must serialize the
-  // update against in-flight batches (TSan verifies the exclusion).
+  // New class 4 arrives mid-stream. The update is staged while batches
+  // keep predicting on the shared lock and committed under the exclusive
+  // one (TSan checks both halves against the in-flight batches).
   Rng rng(77);
-  data::Dataset d_new(
-      Tensor::RandNormal(Shape::Matrix(16, config.backbone.input_dim), rng,
-                         /*mean=*/8.0f, 0.25f),
-      std::vector<int>(16, 4));
-  Result<core::TrainReport> report = manager.LearnNewClasses(*id, d_new);
+  Result<core::TrainReport> report =
+      manager.LearnNewClasses(*id, NewClassRows(config, rng));
   stop.store(true);
   ingest.join();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(handle->NumKnownClasses(), known_before + 1);
   EXPECT_GT(handle->model_version(), 0);
+}
+
+TEST(SessionManagerTest, LearnNewClassesServesDuringUpdate) {
+  fail::ScopedFailpoints failpoints;
+  const core::PiloteConfig config = LongUpdateConfig();
+  std::shared_ptr<LearnerHandle> handle = MakeHandle(config, "pilote");
+  SessionManager manager(ServeOptions{});
+  Result<SessionId> id = manager.CreateSession(handle, config.streaming);
+  ASSERT_TRUE(id.ok());
+  const int64_t known_before = handle->NumKnownClasses();
+
+  // "core/learn/begin" is evaluated once the update has started; armed
+  // never to fire, it only counts.
+  ASSERT_TRUE(fail::FailpointRegistry::Global()
+                  .Arm("core/learn/begin",
+                       fail::FailpointSpec::WithProbability(0.0, 1))
+                  .ok());
+  const int64_t hits_before = FailpointHits("core/learn/begin");
+  Rng rng(77);
+  const data::Dataset d_new = NewClassRows(config, rng);
+  std::future<Result<core::TrainReport>> update =
+      std::async(std::launch::async,
+                 [&manager, &id, &d_new] {
+                   return manager.LearnNewClasses(*id, d_new);
+                 });
+  while (FailpointHits("core/learn/begin") < hits_before + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // A window submitted mid-update is answered by the current version
+  // without waiting for the update to finish.
+  Result<std::future<int>> window =
+      manager.SubmitWindow(*id, RandomWindow(config, rng));
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  EXPECT_GE(window.value().get(), 0);
+  EXPECT_EQ(update.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the window was held until the update returned";
+
+  Result<core::TrainReport> report = update.get();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(handle->NumKnownClasses(), known_before + 1);
+}
+
+TEST(LearnerHandleTest, TryPredictBatchNamesTheVersionThatLabeled) {
+  core::PiloteConfig config = TestConfig();
+  config.incremental.max_epochs = 1;
+  std::shared_ptr<LearnerHandle> handle = MakeHandle(config, "pilote");
+  Rng rng(91);
+  const data::Dataset d_new = NewClassRows(config, rng);
+  // The new-class rows read as old classes before the update and, for
+  // some rows at least, as class 4 after it.
+  const Tensor& probe = d_new.features();
+  const std::vector<int> labels_before = handle->PredictBatch(probe);
+  const int64_t version_before = handle->model_version();
+
+  std::atomic<bool> updated{false};
+  std::thread update([&handle, &d_new, &updated] {
+    Result<core::TrainReport> report = handle->LearnNewClasses(d_new);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    updated.store(true);
+  });
+  // Predict before, during and after the commit; each label set must
+  // come with the version that produced it.
+  std::vector<std::pair<int64_t, std::vector<int>>> served;
+  for (int after = 0; after < 3;) {
+    if (updated.load()) ++after;
+    Status status = handle->TryPredictBatch(
+        probe, [&handle, &served](const std::vector<int>& labels,
+                                  int64_t model_version) {
+          // Inside the shared lock no commit can land.
+          EXPECT_EQ(model_version, handle->model_version());
+          served.emplace_back(model_version, labels);
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  update.join();
+  const std::vector<int> labels_after = handle->PredictBatch(probe);
+  ASSERT_NE(labels_after, labels_before);
+  ASSERT_EQ(handle->model_version(), version_before + 1);
+
+  int64_t old_version = 0;
+  int64_t new_version = 0;
+  for (const auto& [model_version, labels] : served) {
+    if (model_version == version_before) {
+      EXPECT_EQ(labels, labels_before);
+      ++old_version;
+    } else {
+      EXPECT_EQ(model_version, version_before + 1);
+      EXPECT_EQ(labels, labels_after);
+      ++new_version;
+    }
+  }
+  EXPECT_GT(old_version, 0);
+  EXPECT_GT(new_version, 0);
 }
 
 // ----------------------------------------------- Backpressure + deadlines

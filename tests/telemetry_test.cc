@@ -107,11 +107,18 @@ TEST_F(TelemetryTest, FamilySamplesCarryRenderedLabels) {
   shard.At(1).Set(7.0);
   MetricsSnapshot snapshot;
   FamilyRegistry::Global().AppendTo(&snapshot);
-  ASSERT_EQ(snapshot.gauges.size(), 2u);
-  EXPECT_EQ(snapshot.gauges[0].name, "test/shard_sessions");
-  EXPECT_EQ(snapshot.gauges[0].labels, "shard=\"0\"");
-  EXPECT_DOUBLE_EQ(snapshot.gauges[0].value, 2.0);
-  EXPECT_EQ(snapshot.gauges[1].labels, "shard=\"1\"");
+  // Family registrations are process-wide and permanent, so other tests'
+  // families share the snapshot: keep only this test's series.
+  std::vector<GaugeSample> gauges;
+  std::copy_if(snapshot.gauges.begin(), snapshot.gauges.end(),
+               std::back_inserter(gauges), [](const GaugeSample& gauge) {
+                 return gauge.name == "test/shard_sessions";
+               });
+  ASSERT_EQ(gauges.size(), 2u);
+  EXPECT_EQ(gauges[0].labels, "shard=\"0\"");
+  EXPECT_DOUBLE_EQ(gauges[0].value, 2.0);
+  EXPECT_EQ(gauges[1].labels, "shard=\"1\"");
+  EXPECT_DOUBLE_EQ(gauges[1].value, 7.0);
 }
 
 TEST_F(TelemetryTest, RenderLabelEscapesQuotesAndBackslashes) {
