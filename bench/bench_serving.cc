@@ -3,9 +3,9 @@
 // with cross-stream batching (one backbone GEMM chain for K windows).
 // Prints the mean achieved batch and the serve worker's heap allocations
 // per window for each pass; --bench-json writes the counted allocation
-// figures that CI gates. It is also the CI driver of the serving fault
-// drill and the telemetry exporter. It times nothing: perfbench measures
-// serve latency and throughput at a stated offered load.
+// figures that CI gates. It is also the CI driver of the telemetry
+// exporter. It times nothing: perfbench measures serve latency and
+// throughput at a stated offered load.
 //
 // Flags:
 //   --devices=N     simulated device streams        (default 8)

@@ -1,8 +1,8 @@
 // Simulates deploying PILOTE onto a storage-constrained edge device:
 // the cloud artifact is transferred as bytes, the exemplar cache must fit
 // a device budget (Algo 1's cache size K, with optional int8 compression),
-// and the device reports its storage/latency profile before and after an
-// incremental update (the paper's Q2).
+// and the device reports its storage and allocation profile after an
+// incremental update (the paper's Q2; perfbench measures its latency).
 //
 // Build & run:  ./build/examples/edge_device_sim
 #include <cstdio>

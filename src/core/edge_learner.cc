@@ -5,7 +5,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/embedding.h"
 #include "data/splits.h"
 #include "eval/metrics.h"
@@ -108,20 +107,7 @@ std::vector<int> EdgeLearner::PredictLabels(
 
 std::vector<int> EdgeLearner::Predict(const Tensor& raw_features) const {
   PILOTE_TRACE_SPAN("core/predict");
-  if (!obs::Enabled()) return PredictLabels(raw_features);
-  // A batched Predict amortizes the embedding pass over all rows; record the
-  // amortized per-window latency so the histogram stays comparable with the
-  // row-at-a-time streaming path.
-  WallTimer timer;
-  // hotpath-ok: the per-call output labels
-  std::vector<int> labels = PredictLabels(raw_features);
-  const int64_t rows = std::max<int64_t>(1, raw_features.rows());
-  const double per_window_ms = timer.ElapsedSeconds() * 1e3 /
-                               static_cast<double>(rows);
-  for (int64_t i = 0; i < rows; ++i) {
-    PILOTE_METRIC_HISTOGRAM("core/inference_window_ms", per_window_ms);
-  }
-  return labels;
+  return PredictLabels(raw_features);
 }
 
 std::vector<int> EdgeLearner::PredictBatch(const Tensor& raw_features) const {

@@ -95,11 +95,11 @@ class EdgeLearner {
 
   // NCM inference on raw feature rows.
   PILOTE_HOT_PATH std::vector<int> Predict(const Tensor& raw_features) const;
-  // Batched inference entry point for the serving layer: identical labels
-  // to Predict (the embedding and NCM stages are row-independent), but
-  // skips the per-row latency bookkeeping so one call costs one scaler
-  // pass, one backbone forward (a single GEMM chain for all K rows) and
-  // one NCM pass.
+  // Batched inference entry point for the serving layer: the same path
+  // and labels as Predict (the embedding and NCM stages are
+  // row-independent), traced apart as core/predict_batch. One call costs
+  // one scaler pass, one backbone forward (a single GEMM chain for all K
+  // rows) and one NCM pass.
   PILOTE_HOT_PATH std::vector<int> PredictBatch(const Tensor& raw_features) const;
   // Accuracy on a raw-feature test set.
   double Evaluate(const data::Dataset& raw_test) const;

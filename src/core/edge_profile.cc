@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "common/alloc_tracker.h"
-#include "obs/metrics.h"
+#include "common/macros.h"
 #include "serialize/quantize.h"
 #include "tensor/tensor_ops.h"
 
@@ -19,10 +19,7 @@ std::string EdgeProfileReport::ToString() const {
      << support_bytes_fp32 << " B fp32, " << support_bytes_fp16
      << " B fp16, " << support_bytes_int8 << " B int8)\n"
      << "prototypes: " << prototype_bytes << " B\n"
-     << "inference: " << inference_ms_per_window << " ms/window (p50 "
-     << inference_p50_ms << ", p95 " << inference_p95_ms << ", p99 "
-     << inference_p99_ms << ", p999 " << inference_p999_ms << "), "
-     << inference_allocs_per_window << " allocs/window\n"
+     << "inference: " << inference_allocs_per_window << " allocs/window\n"
      << "training: ";
   if (std::isnan(train_epoch_seconds)) {
     os << "n/a";
@@ -50,16 +47,7 @@ EdgeProfileReport ProfileEdge(const EdgeLearner& learner,
       support.StorageBytes(serialize::QuantMode::kInt8);
   report.prototype_bytes = learner.classifier().StorageBytes();
 
-  // End-to-end inference latency (scaling + embedding + NCM). Predict()
-  // feeds the shared "core/inference_window_ms" histogram; probing row by
-  // row makes each recorded sample a true single-window latency, and the
-  // before/after snapshot delta isolates this probe from any earlier
-  // recordings in the process.
   PILOTE_CHECK_GT(probe_features.rows(), 0);
-  obs::ScopedEnable enable_metrics;
-  obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
-      "core/inference_window_ms");
-  const obs::HistogramSnapshot before = latency.Snapshot();
   // The allocation count includes the probe-row gather — one small
   // constant per window, same as the serve ingest handing a feature row
   // to the batcher — so the figure matches the deployed steady state.
@@ -71,13 +59,6 @@ EdgeProfileReport ProfileEdge(const EdgeLearner& learner,
   report.inference_allocs_per_window =
       static_cast<double>(alloc_scope.count()) /
       static_cast<double>(probe_features.rows());
-  const obs::HistogramSnapshot probe =
-      obs::Delta(before, latency.Snapshot());
-  report.inference_ms_per_window = probe.Mean();
-  report.inference_p50_ms = probe.Percentile(0.50);
-  report.inference_p95_ms = probe.Percentile(0.95);
-  report.inference_p99_ms = probe.Percentile(0.99);
-  report.inference_p999_ms = probe.Percentile(0.999);
 
   if (last_report != nullptr) {
     report.train_epoch_seconds = last_report->mean_epoch_seconds;

@@ -46,8 +46,8 @@ inline bool Enabled() {
          internal::runtime_enabled.load(std::memory_order_relaxed);
 }
 
-// Force-enables recording for a scope (e.g. ProfileEdge measuring per-window
-// latency through the registry regardless of PILOTE_METRICS).
+// Force-enables recording for a scope (e.g. a test reading back its own
+// recordings regardless of PILOTE_METRICS).
 class ScopedEnable {
  public:
   ScopedEnable()

@@ -16,24 +16,11 @@
 namespace pilote {
 namespace serve {
 
-namespace {
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 BatchingEngine::BatchingEngine(const ServeOptions& options)
     : options_(options),
       queue_(static_cast<size_t>(options.queue_capacity)),
       stage_ms_(obs::FamilyRegistry::Global().GetHistogramFamily(
-          "serve/stage_ms", "stage", {"queue_wait", "batch_wait", "predict"})),
-      degraded_(obs::FamilyRegistry::Global().GetCounterFamily(
-          "serve/degraded_total", "reason", {"fault"})),
-      last_progress_ns_(SteadyNowNs()) {
+          "serve/stage_ms", "stage", {"queue_wait", "batch_wait", "predict"})) {
   Status valid = ValidateServeOptions(options_);
   PILOTE_CHECK(valid.ok()) << valid.ToString();
   // lifetime-ok: Stop() (called by the destructor) joins worker_ before
@@ -59,11 +46,6 @@ void BatchingEngine::Stop() {
   pause_cv_.NotifyAll();
   queue_.Close();
   if (worker_.joinable()) worker_.join();
-}
-
-int64_t BatchingEngine::batches_flushed() const {
-  MutexLock lock(stats_mutex_);
-  return batches_flushed_;
 }
 
 void BatchingEngine::PauseForTesting() {
@@ -104,27 +86,18 @@ void BatchingEngine::WorkerLoop() {
                          std::chrono::microseconds(options_.max_delay_us))) {
       break;  // closed and drained
     }
-    last_progress_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
     if (batch.empty()) continue;  // interrupted pop: re-check the gate
     if (obs::Enabled()) {
       const auto dequeued = std::chrono::steady_clock::now();
       for (PredictRequest& request : batch) request.dequeue_time = dequeued;
     }
     ProcessBatch(batch);
-    last_progress_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   }
 }
 
 void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
   PILOTE_TRACE_SPAN("serve/process_batch");
   alloc::AllocationScope alloc_scope;
-  {
-    // Surfaced by the annotation pass: this counter was declared guarded by
-    // stats_mutex_ but no path ever advanced it, so batches_flushed()
-    // always reported 0.
-    MutexLock lock(stats_mutex_);  // hotpath-ok: uncontended stats tick
-    ++batches_flushed_;
-  }
   PILOTE_METRIC_COUNT("serve/batches", 1);
   PILOTE_METRIC_HISTOGRAM("serve/batch_size",
                           static_cast<double>(batch.size()));
@@ -199,37 +172,7 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
       }
     };
 
-    // Bounded retry-with-backoff on transient faults: the learner forward
-    // may report kUnavailable (in production a device-side brownout, in the
-    // chaos suite the "serve/predict" failpoint). Anything else fails the
-    // batch immediately — retrying a deterministic error only burns the
-    // latency budget.
-    Status served = group_keys_[g]->TryPredictBatch(features, complete);
-    for (int attempt = 0; !served.ok() &&
-                          served.code() == StatusCode::kUnavailable &&
-                          attempt < options_.predict_retries;
-         ++attempt) {
-      PILOTE_METRIC_COUNT("serve/faults_injected", 1);
-      if (options_.retry_backoff_us > 0) {
-        // hotpath-ok: fault-retry backoff, cold path by construction
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.retry_backoff_us << attempt));
-      }
-      served = group_keys_[g]->TryPredictBatch(features, complete);
-      if (served.ok()) PILOTE_METRIC_COUNT("serve/recoveries", 1);
-    }
-
-    if (!served.ok()) {
-      // Retry budget exhausted (or non-transient): complete every request
-      // degraded with the session's last smoothed label, leaving the vote
-      // history untouched — the same contract as a deadline miss.
-      PILOTE_METRIC_COUNT("serve/faults_injected", 1);
-      CountDegradedFault(static_cast<int64_t>(rows.size()));
-      for (size_t k = 0; k < rows.size(); ++k) {
-        PredictRequest& request = batch[rows[k]];
-        request.done.set_value(request.session->LastPrediction().label);
-      }
-    }
+    group_keys_[g]->PredictBatch(features, complete);
   }
 
   // Runtime side of the hot-path discipline: with PILOTE_ALLOC_STATS armed
@@ -243,13 +186,6 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
                             static_cast<double>(alloc_scope.count()) /
                                 static_cast<double>(batch.size()));
   }
-}
-
-// hotpath-ok: one relaxed-atomic bump on the cold fault path; the bare
-// `Add` call must not enter the hot-path call graph, where it would alias
-// the tensor Add by name.
-void BatchingEngine::CountDegradedFault(int64_t rows) {
-  if (obs::Enabled()) degraded_.At(0).Add(rows);
 }
 
 void BatchingEngine::RecordStages(

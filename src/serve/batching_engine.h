@@ -1,6 +1,7 @@
 #ifndef PILOTE_SERVE_BATCHING_ENGINE_H_
 #define PILOTE_SERVE_BATCHING_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -55,17 +56,8 @@ class BatchingEngine {
   // fulfilled) and joins the worker. Idempotent.
   void Stop() PILOTE_EXCLUDES(pause_mutex_);
 
+  // Windows awaiting a batch slot.
   int64_t queue_depth() const { return static_cast<int64_t>(queue_.size()); }
-  int64_t queue_capacity() const { return options_.queue_capacity; }
-  int64_t batches_flushed() const PILOTE_EXCLUDES(stats_mutex_);
-
-  // Steady-clock nanoseconds of the worker's last liveness signal (a flush
-  // completed, or an idle pop timed out on an empty queue). The watchdog's
-  // flush-age input: a non-empty queue plus a stale value means the worker
-  // is stuck, not idle.
-  int64_t last_progress_ns() const {
-    return last_progress_ns_.load(std::memory_order_relaxed);
-  }
 
   // Test hooks: while paused the worker stops draining the queue, which
   // makes backpressure and deadline misses deterministic to provoke.
@@ -74,11 +66,9 @@ class BatchingEngine {
 
  private:
   void WorkerLoop() PILOTE_EXCLUDES(pause_mutex_);
-  PILOTE_HOT_PATH void ProcessBatch(std::vector<PredictRequest>& batch)
-      PILOTE_EXCLUDES(stats_mutex_);
+  PILOTE_HOT_PATH void ProcessBatch(std::vector<PredictRequest>& batch);
   // Stage histograms + slow-window exemplar capture for one completed
-  // request (called on the success path so stage counts match
-  // serve/request_ms). `model_version` is the version that labeled it.
+  // request. `model_version` is the version that labeled it.
   PILOTE_HOT_PATH void RecordStages(const PredictRequest& request,
                                     int64_t model_version,
                                     std::chrono::steady_clock::time_point
@@ -86,21 +76,16 @@ class BatchingEngine {
                                     std::chrono::steady_clock::time_point
                                         predict_end,
                                     double request_ms);
-  // Bumps serve/degraded_total{reason="fault"} for `rows` requests.
-  void CountDegradedFault(int64_t rows);
 
   const ServeOptions options_;
   BoundedQueue<PredictRequest> queue_;  // unguarded: internally synchronized
 
-  Mutex pause_mutex_ PILOTE_ACQUIRED_BEFORE(stats_mutex_);
+  Mutex pause_mutex_;
   CondVar pause_cv_;  // unguarded: internally synchronized
   bool paused_ PILOTE_GUARDED_BY(pause_mutex_) = false;
   // Worker is waiting at the pause gate.
   bool parked_ PILOTE_GUARDED_BY(pause_mutex_) = false;
   bool stopping_ PILOTE_GUARDED_BY(pause_mutex_) = false;
-
-  mutable Mutex stats_mutex_;
-  int64_t batches_flushed_ PILOTE_GUARDED_BY(stats_mutex_) = 0;
 
   // Flush scratch, reused across flushes so the steady state never hits
   // the allocator: the group index and the assembled feature matrix keep
@@ -118,12 +103,7 @@ class BatchingEngine {
   static constexpr size_t kBatchWaitSlot = 1;
   static constexpr size_t kPredictSlot = 2;
   const obs::HistogramFamily stage_ms_;  // unguarded: handles are lock-free
-  // serve/degraded_total{reason="fault"} slot (deadline/backpressure
-  // reasons are counted by the SessionManager).
-  const obs::CounterFamily degraded_;  // unguarded: handles are lock-free
 
-  // Worker liveness (see last_progress_ns()).
-  std::atomic<int64_t> last_progress_ns_;
   // Highest occupied serve/request_ms bucket; the slow-window exemplar
   // threshold.
   std::atomic<int> top_bucket_{0};

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/result.h"
 #include "common/hot_path.h"
 #include "common/thread_annotations.h"
@@ -37,17 +36,13 @@ class LearnerHandle {
 
   // The serving path's PredictBatch: runs `complete(labels, version)`
   // under the predict's shared lock, so `version` produced `labels` and
-  // `complete` finishes before the next commit. The "serve/predict"
-  // failpoint can inject a transient kUnavailable instead, which the
-  // batching engine's bounded retry-with-backoff absorbs.
+  // `complete` finishes before the next commit.
   template <typename Complete>
-  PILOTE_HOT_PATH Status TryPredictBatch(const Tensor& raw_features,
-                                         Complete&& complete) const
+  PILOTE_HOT_PATH void PredictBatch(const Tensor& raw_features,
+                                    Complete&& complete) const
       PILOTE_EXCLUDES(mutex_) {
-    PILOTE_RETURN_IF_ERROR(PILOTE_FAILPOINT("serve/predict"));
     ReaderLock lock(mutex_);
     complete(learner_->PredictBatch(raw_features), learner_->model_version());
-    return Status::Ok();
   }
 
   // Stages the update under the shared lock, then commits it under the

@@ -34,14 +34,9 @@ SessionManager::SessionManager(const ServeOptions& options)
   Status valid = ValidateServeOptions(options_);
   PILOTE_CHECK(valid.ok()) << valid.ToString();
   engine_ = std::make_unique<BatchingEngine>(options_);
-  watchdog_ = std::make_unique<Watchdog>(engine_.get(), options_);
-  watchdog_->Start();
 }
 
-SessionManager::~SessionManager() {
-  watchdog_->Stop();
-  engine_->Stop();
-}
+SessionManager::~SessionManager() { engine_->Stop(); }
 
 SessionManager::Shard& SessionManager::ShardFor(SessionId id) {
   return shards_[id % kNumShards];

@@ -18,7 +18,6 @@
 #include "serve/learner_handle.h"
 #include "serve/session.h"
 #include "serve/types.h"
-#include "serve/watchdog.h"
 
 namespace pilote {
 namespace serve {
@@ -69,12 +68,8 @@ class SessionManager {
 
   int64_t NumSessions() const;
 
-  // The engine, for tests (pause/resume) and benchmarks (flush stats).
+  // The engine, for tests (pause/resume).
   BatchingEngine& engine() { return *engine_; }
-
-  // The stall detector (always constructed; its polling thread only runs
-  // when options.watchdog_poll_ms > 0).
-  Watchdog& watchdog() { return *watchdog_; }
 
  private:
   // Session-table shards; each has its own mutex so concurrent ingest
@@ -102,8 +97,7 @@ class SessionManager {
   const ServeOptions options_;
   std::array<Shard, kNumShards> shards_;
   std::atomic<SessionId> next_id_{1};
-  // serve/degraded_total{reason=deadline|backpressure}; the fault reason
-  // is counted inside the engine.
+  // serve/degraded_total{reason=deadline|backpressure}.
   const obs::CounterFamily degraded_;
   // serve/rejected_total{reason=shape|non_finite}: feature rows
   // SubmitWindow refused before they reached the batcher.
@@ -111,10 +105,8 @@ class SessionManager {
   // Per-shard session gauges, serve/shard_sessions{shard=...}.
   const obs::GaugeFamily shard_sessions_;
   // Declared last: the engine stops (draining its queue, which holds
-  // shared_ptr<Session> references) before the shards are torn down; the
-  // watchdog, which polls the engine, goes first of all.
+  // shared_ptr<Session> references) before the shards are torn down.
   std::unique_ptr<BatchingEngine> engine_;
-  std::unique_ptr<Watchdog> watchdog_;
 };
 
 }  // namespace serve

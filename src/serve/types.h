@@ -29,22 +29,6 @@ struct ServeOptions {
   // Bound on windows awaiting a batch slot. A full queue rejects new
   // windows with kResourceExhausted instead of blocking ingest.
   int64_t queue_capacity = 256;
-  // Transient-fault handling: a batch whose learner forward returns
-  // kUnavailable is retried up to `predict_retries` times, sleeping
-  // `retry_backoff_us << attempt` between attempts. Requests that exhaust
-  // the budget complete degraded with the session's last smoothed label
-  // (same contract as a deadline miss). Non-transient codes are not
-  // retried.
-  int predict_retries = 3;
-  int64_t retry_backoff_us = 100;
-  // Stall watchdog (off when watchdog_poll_ms == 0). Every poll it checks
-  // the batching engine: a non-empty queue with no worker progress for
-  // `watchdog_stall_after_ms` is a flush-stale stall; queue depth at or
-  // above `watchdog_queue_watermark` * queue_capacity is a watermark
-  // stall. Events are edge-triggered (one per episode).
-  int64_t watchdog_poll_ms = 0;
-  int64_t watchdog_stall_after_ms = 200;
-  double watchdog_queue_watermark = 0.9;
 };
 
 inline Status ValidateServeOptions(const ServeOptions& options) {
@@ -59,29 +43,6 @@ inline Status ValidateServeOptions(const ServeOptions& options) {
   if (options.queue_capacity < 1) {
     return Status::InvalidArgument("queue_capacity must be >= 1, got " +
                                    std::to_string(options.queue_capacity));
-  }
-  if (options.predict_retries < 0) {
-    return Status::InvalidArgument("predict_retries must be >= 0, got " +
-                                   std::to_string(options.predict_retries));
-  }
-  if (options.retry_backoff_us < 0) {
-    return Status::InvalidArgument("retry_backoff_us must be >= 0, got " +
-                                   std::to_string(options.retry_backoff_us));
-  }
-  if (options.watchdog_poll_ms < 0) {
-    return Status::InvalidArgument("watchdog_poll_ms must be >= 0, got " +
-                                   std::to_string(options.watchdog_poll_ms));
-  }
-  if (options.watchdog_stall_after_ms < 1) {
-    return Status::InvalidArgument(
-        "watchdog_stall_after_ms must be >= 1, got " +
-        std::to_string(options.watchdog_stall_after_ms));
-  }
-  if (!(options.watchdog_queue_watermark > 0.0 &&
-        options.watchdog_queue_watermark <= 1.0)) {
-    return Status::InvalidArgument(
-        "watchdog_queue_watermark must be in (0, 1], got " +
-        std::to_string(options.watchdog_queue_watermark));
   }
   return Status::Ok();
 }

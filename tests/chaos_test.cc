@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,16 +17,11 @@
 
 #include "common/failpoint.h"
 #include "common/macros.h"
-#include "common/rng.h"
 #include "core/artifact_io.h"
 #include "core/cloud.h"
 #include "core/edge_learner.h"
 #include "har/har_dataset.h"
-#include "obs/metrics.h"
 #include "serve/learner_handle.h"
-#include "serve/session_manager.h"
-#include "serve/types.h"
-#include "tensor/tensor_ops.h"
 
 namespace pilote {
 namespace {
@@ -118,10 +112,10 @@ Status RunCycle(const ChaosTest::State& state, const std::string& path,
 
   serve::LearnerHandle handle(std::move(learner));
   std::vector<int> served;
-  PILOTE_RETURN_IF_ERROR(handle.TryPredictBatch(
-      state.probe, [&served](const std::vector<int>& labels, int64_t) {
-        served = labels;
-      }));
+  handle.PredictBatch(state.probe,
+                      [&served](const std::vector<int>& labels, int64_t) {
+                        served = labels;
+                      });
   if (predictions_out != nullptr) *predictions_out = served;
   return Status::Ok();
 }
@@ -154,7 +148,7 @@ TEST_F(ChaosTest, EveryRegisteredFailpointFailsCleanlyThenRecovers) {
       "core/learn/mid",           "core/support_update/begin",
       "core/support_update/embed", "serialize/atomic/open",
       "serialize/atomic/rename",  "serialize/atomic/torn",
-      "serialize/atomic/write",   "serve/predict"};
+      "serialize/atomic/write"};
   for (const std::string& name : expected) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << "failpoint '" << name << "' was not registered by the warmup cycle";
@@ -237,106 +231,6 @@ TEST_F(ChaosTest, FailedSavePreservesThePreviousArtifact) {
     EXPECT_EQ(loaded->model_payload, state_->artifact.model_payload);
   }
   std::remove(path.c_str());
-}
-
-// Transient kUnavailable faults on the serving forward pass are absorbed
-// by the batching engine's bounded retry: every request still completes
-// with a real prediction and the recovery is visible in the metrics.
-TEST_F(ChaosTest, BatchingEngineRetriesTransientPredictFaults) {
-  fail::ScopedFailpoints scope;
-  obs::ScopedEnable metrics;
-  obs::MetricsRegistry::Global().ResetForTesting();
-  ASSERT_TRUE(FailpointRegistry::Global()
-                  .ArmFromString("serve/predict=nth:2:unavailable")
-                  .ok());
-
-  Result<std::unique_ptr<core::EdgeLearner>> made =
-      core::MakeEdgeLearner("pretrained", state_->artifact, state_->config);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  auto handle =
-      std::make_shared<serve::LearnerHandle>(std::move(made).value());
-
-  serve::ServeOptions options;
-  options.retry_backoff_us = 0;  // no real sleeping in tests
-  {
-    serve::SessionManager manager(options);
-    Result<serve::SessionId> id =
-        manager.CreateSession(handle, state_->config.streaming);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    Rng rng(99);
-    for (int i = 0; i < 8; ++i) {
-      Tensor window = Tensor::RandNormal(
-          Shape::Matrix(1, state_->config.backbone.input_dim), rng);
-      Result<std::future<int>> pending = manager.SubmitWindow(*id, window);
-      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
-      // Waiting serializes the batches, so with nth:2 every second batch
-      // faults once and is recovered by the first retry.
-      EXPECT_NE(pending->get(), serve::kNoPrediction);
-    }
-    ASSERT_TRUE(manager.CloseSession(*id).ok());
-  }
-
-  const int64_t injected = obs::MetricsRegistry::Global()
-                               .GetCounter("serve/faults_injected")
-                               .value();
-  const int64_t recovered =
-      obs::MetricsRegistry::Global().GetCounter("serve/recoveries").value();
-  EXPECT_GE(injected, 4);
-  EXPECT_EQ(recovered, injected)
-      << "every transient fault must be recovered by a retry";
-}
-
-// With the fault no longer transient, the retry budget exhausts and the
-// request degrades to the session's last smoothed label instead of
-// wedging the stream.
-TEST_F(ChaosTest, ExhaustedRetriesDegradeInsteadOfWedging) {
-  fail::ScopedFailpoints scope;
-  obs::ScopedEnable metrics;
-  obs::MetricsRegistry::Global().ResetForTesting();
-
-  Result<std::unique_ptr<core::EdgeLearner>> made =
-      core::MakeEdgeLearner("pretrained", state_->artifact, state_->config);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  auto handle =
-      std::make_shared<serve::LearnerHandle>(std::move(made).value());
-
-  serve::ServeOptions options;
-  options.predict_retries = 2;
-  options.retry_backoff_us = 0;
-  {
-    serve::SessionManager manager(options);
-    Result<serve::SessionId> id =
-        manager.CreateSession(handle, state_->config.streaming);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    Rng rng(7);
-    Tensor window = Tensor::RandNormal(
-        Shape::Matrix(1, state_->config.backbone.input_dim), rng);
-
-    // A healthy window first, so the degraded path has a label to fall
-    // back on.
-    Result<std::future<int>> healthy = manager.SubmitWindow(*id, window);
-    ASSERT_TRUE(healthy.ok());
-    const int last_label = healthy->get();
-    ASSERT_NE(last_label, serve::kNoPrediction);
-
-    ASSERT_TRUE(FailpointRegistry::Global()
-                    .ArmFromString("serve/predict=always:unavailable")
-                    .ok());
-    Result<std::future<int>> degraded = manager.SubmitWindow(*id, window);
-    ASSERT_TRUE(degraded.ok());
-    EXPECT_EQ(degraded->get(), last_label);
-    FailpointRegistry::Global().DisarmAll();
-    ASSERT_TRUE(manager.CloseSession(*id).ok());
-  }
-
-  const int64_t injected = obs::MetricsRegistry::Global()
-                               .GetCounter("serve/faults_injected")
-                               .value();
-  const int64_t recovered =
-      obs::MetricsRegistry::Global().GetCounter("serve/recoveries").value();
-  // 1 initial failure + 2 retries + 1 terminal accounting tick.
-  EXPECT_GE(injected, 3);
-  EXPECT_EQ(recovered, 0);
 }
 
 }  // namespace

@@ -326,16 +326,16 @@ TEST(EdgeProfileReportTest, TrainedEpochTimePrintsSeconds) {
   EXPECT_EQ(text.find("n/a"), std::string::npos);
 }
 
-TEST(EdgeProfileReportTest, ToStringCarriesLatencyPercentiles) {
+TEST(EdgeProfileReportTest, ToStringCarriesStorageAndAllocations) {
   EdgeProfileReport report;
-  report.inference_ms_per_window = 1.0;
-  report.inference_p50_ms = 0.9;
-  report.inference_p95_ms = 1.4;
-  report.inference_p99_ms = 1.9;
+  report.support_bytes_int8 = 123;
+  report.prototype_bytes = 456;
+  report.inference_allocs_per_window = 2.0;
   const std::string text = report.ToString();
-  EXPECT_NE(text.find("p50"), std::string::npos);
-  EXPECT_NE(text.find("p95"), std::string::npos);
-  EXPECT_NE(text.find("p99"), std::string::npos);
+  EXPECT_NE(text.find("123 B int8"), std::string::npos);
+  EXPECT_NE(text.find("prototypes: 456 B"), std::string::npos);
+  EXPECT_NE(text.find("2 allocs/window"), std::string::npos);
+  EXPECT_EQ(text.find("ms/window"), std::string::npos);
 }
 
 }  // namespace

@@ -201,12 +201,9 @@ TEST_F(PipelineTest, EdgeProfileReportsBudget) {
   EXPECT_GT(profile.model_bytes, profile.model_parameters * 4 - 1);
   EXPECT_EQ(profile.support_exemplars, learner.support().TotalExemplars());
   EXPECT_GT(profile.support_bytes_fp32, profile.support_bytes_int8);
-  EXPECT_GT(profile.inference_ms_per_window, 0.0);
-  // Per-window latency percentiles come from the obs registry histogram
-  // and must be ordered and bracket the mean's neighborhood.
-  EXPECT_GT(profile.inference_p50_ms, 0.0);
-  EXPECT_LE(profile.inference_p50_ms, profile.inference_p95_ms);
-  EXPECT_LE(profile.inference_p95_ms, profile.inference_p99_ms);
+  EXPECT_GT(profile.prototype_bytes, 0);
+  // Each probe window allocates at least its output labels.
+  EXPECT_GE(profile.inference_allocs_per_window, 1.0);
   EXPECT_GT(profile.train_epoch_seconds, 0.0);
   EXPECT_NE(profile.ToString().find("allocs/window"), std::string::npos);
 }
@@ -217,7 +214,7 @@ TEST_F(PipelineTest, EdgeProfileWithoutTrainingReportsNa) {
       ProfileEdge(learner, state_->test_all.features(), /*last_report=*/nullptr);
   EXPECT_TRUE(std::isnan(profile.train_epoch_seconds));
   EXPECT_NE(profile.ToString().find("training: n/a"), std::string::npos);
-  EXPECT_GT(profile.inference_ms_per_window, 0.0);
+  EXPECT_GE(profile.inference_allocs_per_window, 1.0);
 }
 
 TEST_F(PipelineTest, QuantizedSupportSetStillClassifies) {

@@ -8,7 +8,7 @@
 #include "losses/contrastive.h"
 #include "losses/distillation.h"
 #include "losses/joint.h"
-#include "optim/sgd.h"
+#include "optim/adam.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -116,8 +116,8 @@ TEST_F(NumericsGuardDeathTest, NanGradientCaughtAtOptimizerStep) {
   Tensor bad_grad = Tensor::Ones(Shape::Vector(4));
   bad_grad[2] = kNan;
   param.node()->AccumulateGrad(bad_grad);
-  optim::Sgd sgd({param}, optim::SgdOptions{});
-  EXPECT_DEATH(sgd.Step(), "Sgd step grad");
+  optim::Adam adam({param}, optim::AdamOptions{});
+  EXPECT_DEATH(adam.Step(), "Adam step grad");
 }
 
 TEST_F(NumericsGuardTest, JointLossStaysFiniteOnCleanInputs) {

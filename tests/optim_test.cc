@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "optim/adam.h"
 #include "optim/lr_scheduler.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace pilote {
@@ -29,44 +28,6 @@ float MinimizeQuadratic(MakeOptimizer make, int steps) {
     optimizer->Step();
   }
   return SquaredDistance(x.value(), target);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  const float dist = MinimizeQuadratic(
-      [](std::vector<ag::Variable> params) {
-        return std::make_unique<optim::Sgd>(std::move(params),
-                                            optim::SgdOptions{.lr = 0.1f});
-      },
-      100);
-  EXPECT_LT(dist, 1e-6f);
-}
-
-TEST(SgdTest, MomentumAcceleratesConvergence) {
-  const float plain = MinimizeQuadratic(
-      [](std::vector<ag::Variable> params) {
-        return std::make_unique<optim::Sgd>(std::move(params),
-                                            optim::SgdOptions{.lr = 0.01f});
-      },
-      40);
-  const float momentum = MinimizeQuadratic(
-      [](std::vector<ag::Variable> params) {
-        return std::make_unique<optim::Sgd>(
-            std::move(params),
-            optim::SgdOptions{.lr = 0.01f, .momentum = 0.9f});
-      },
-      40);
-  EXPECT_LT(momentum, plain);
-}
-
-TEST(SgdTest, WeightDecayShrinksParameters) {
-  ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(2), 1.0f));
-  optim::Sgd sgd({x}, {.lr = 0.1f, .weight_decay = 1.0f});
-  // Zero gradient: only decay acts.
-  ag::Variable loss = ag::MulScalar(ag::Sum(x), 0.0f);
-  sgd.ZeroGrad();
-  loss.Backward();
-  sgd.Step();
-  EXPECT_NEAR(x.value()[0], 0.9f, 1e-6f);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -125,43 +86,43 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
 
 TEST(LrSchedulerTest, HalvingMatchesPaperSchedule) {
   ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Sgd sgd({x}, {.lr = 0.01f});
-  optim::HalvingLr scheduler(&sgd, 0.01f, 1e-6f);
+  optim::Adam adam({x}, {.lr = 0.01f});
+  optim::HalvingLr scheduler(&adam, 0.01f, 1e-6f);
   scheduler.OnEpochBegin(0);
-  EXPECT_FLOAT_EQ(sgd.lr(), 0.01f);
+  EXPECT_FLOAT_EQ(adam.lr(), 0.01f);
   scheduler.OnEpochBegin(1);
-  EXPECT_FLOAT_EQ(sgd.lr(), 0.005f);
+  EXPECT_FLOAT_EQ(adam.lr(), 0.005f);
   scheduler.OnEpochBegin(3);
-  EXPECT_FLOAT_EQ(sgd.lr(), 0.00125f);
+  EXPECT_FLOAT_EQ(adam.lr(), 0.00125f);
 }
 
 TEST(LrSchedulerTest, HalvingRespectsFloor) {
   ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Sgd sgd({x}, {.lr = 0.01f});
-  optim::HalvingLr scheduler(&sgd, 0.01f, 1e-4f);
+  optim::Adam adam({x}, {.lr = 0.01f});
+  optim::HalvingLr scheduler(&adam, 0.01f, 1e-4f);
   scheduler.OnEpochBegin(50);
-  EXPECT_FLOAT_EQ(sgd.lr(), 1e-4f);
+  EXPECT_FLOAT_EQ(adam.lr(), 1e-4f);
 }
 
 TEST(LrSchedulerTest, StepDecay) {
   ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Sgd sgd({x}, {.lr = 1.0f});
-  optim::StepLr scheduler(&sgd, 1.0f, 10, 0.1f);
+  optim::Adam adam({x}, {.lr = 1.0f});
+  optim::StepLr scheduler(&adam, 1.0f, 10, 0.1f);
   scheduler.OnEpochBegin(9);
-  EXPECT_FLOAT_EQ(sgd.lr(), 1.0f);
+  EXPECT_FLOAT_EQ(adam.lr(), 1.0f);
   scheduler.OnEpochBegin(10);
-  EXPECT_FLOAT_EQ(sgd.lr(), 0.1f);
+  EXPECT_FLOAT_EQ(adam.lr(), 0.1f);
   scheduler.OnEpochBegin(25);
-  EXPECT_NEAR(sgd.lr(), 0.01f, 1e-8f);
+  EXPECT_NEAR(adam.lr(), 0.01f, 1e-8f);
 }
 
 TEST(LrSchedulerTest, ConstantNeverChanges) {
   ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Sgd sgd({x}, {.lr = 0.5f});
-  optim::ConstantLr scheduler(&sgd, 0.42f);
+  optim::Adam adam({x}, {.lr = 0.5f});
+  optim::ConstantLr scheduler(&adam, 0.42f);
   scheduler.OnEpochBegin(0);
   scheduler.OnEpochBegin(100);
-  EXPECT_FLOAT_EQ(sgd.lr(), 0.42f);
+  EXPECT_FLOAT_EQ(adam.lr(), 0.42f);
 }
 
 }  // namespace

@@ -527,7 +527,7 @@ TEST(SessionManagerTest, LearnNewClassesServesDuringUpdate) {
   EXPECT_EQ(handle->NumKnownClasses(), known_before + 1);
 }
 
-TEST(LearnerHandleTest, TryPredictBatchNamesTheVersionThatLabeled) {
+TEST(LearnerHandleTest, PredictBatchCompletionNamesTheVersionThatLabeled) {
   core::PiloteConfig config = TestConfig();
   config.incremental.max_epochs = 1;
   std::shared_ptr<LearnerHandle> handle = MakeHandle(config, "pilote");
@@ -550,14 +550,13 @@ TEST(LearnerHandleTest, TryPredictBatchNamesTheVersionThatLabeled) {
   std::vector<std::pair<int64_t, std::vector<int>>> served;
   for (int after = 0; after < 3;) {
     if (updated.load()) ++after;
-    Status status = handle->TryPredictBatch(
-        probe, [&handle, &served](const std::vector<int>& labels,
-                                  int64_t model_version) {
-          // Inside the shared lock no commit can land.
-          EXPECT_EQ(model_version, handle->model_version());
-          served.emplace_back(model_version, labels);
-        });
-    ASSERT_TRUE(status.ok()) << status.ToString();
+    handle->PredictBatch(probe, [&handle, &served](
+                                    const std::vector<int>& labels,
+                                    int64_t model_version) {
+      // Inside the shared lock no commit can land.
+      EXPECT_EQ(model_version, handle->model_version());
+      served.emplace_back(model_version, labels);
+    });
   }
   update.join();
   const std::vector<int> labels_after = handle->PredictBatch(probe);

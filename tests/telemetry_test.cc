@@ -1,8 +1,8 @@
 // Streaming-telemetry-plane tests: labeled metric families, the
-// slow-window exemplar ring, the stall watchdog, and the background
-// TelemetryExporter running concurrently with serving ingest (the suite CI
-// runs under TSan). The end-to-end test is the acceptance drill: exporter
-// thread + multi-threaded ingest + an injected-slow predict failpoint,
+// slow-window exemplar ring, and the background TelemetryExporter running
+// concurrently with serving ingest (the suite CI runs under TSan). The
+// end-to-end test is the acceptance drill: exporter thread + multi-threaded
+// ingest + a mid-ingest worker stall + a failpoint-rejected update,
 // asserting that the per-tick JSONL records add up to every request with a
 // tail quantile, stage/end-to-end latency consistency, a captured exemplar,
 // and the failpoint's fires in the stream.
@@ -23,6 +23,7 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "core/cloud.h"
+#include "data/dataset.h"
 #include "nn/backbone.h"
 #include "obs/exemplar.h"
 #include "obs/export.h"
@@ -292,15 +293,14 @@ std::shared_ptr<serve::LearnerHandle> MakeHandle(
 }
 
 // The acceptance drill: exporter thread ticking at 5ms while three ingest
-// threads push windows through the batching engine and a failpoint makes
-// every 7th predict transiently fail (retried after a 3ms backoff, so the
-// affected flushes define the latency tail).
+// threads push windows through the batching engine. Halfway through, the
+// worker is parked for 5ms, so the windows queued behind it define the
+// latency tail; one LearnNewClasses is then rejected by the
+// "core/learn/begin" failpoint, whose fires the JSONL stream must carry.
 TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   fail::ScopedFailpoints failpoints;
   ASSERT_TRUE(fail::FailpointRegistry::Global()
-                  .Arm("serve/predict",
-                       fail::FailpointSpec::EveryNth(
-                           7, StatusCode::kUnavailable))
+                  .Arm("core/learn/begin", fail::FailpointSpec::Once())
                   .ok());
 
   TelemetryOptions telemetry;
@@ -315,14 +315,12 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   options.max_batch = 4;
   options.max_delay_us = 500;
   options.queue_capacity = 256;
-  options.predict_retries = 2;
-  options.retry_backoff_us = 3000;
-  options.watchdog_poll_ms = 2;  // polling thread runs during ingest
-  options.watchdog_stall_after_ms = 10000;  // but never fires here
   constexpr int kThreads = 3;
   constexpr int kSessions = 4;
   constexpr int kWindowsPerThread = 60;
   std::atomic<int64_t> classified{0};
+  std::atomic<int> halfway{0};
+  std::atomic<bool> stalled{false};
   {
     serve::SessionManager manager(options);
     std::shared_ptr<serve::LearnerHandle> handle = MakeHandle(config);
@@ -336,31 +334,65 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
 
     std::vector<std::thread> ingest;
     for (int t = 0; t < kThreads; ++t) {
-      ingest.emplace_back([&manager, &ids, &config, &classified, t] {
-        Rng rng(100 + t);
-        std::vector<std::future<int>> futures;
-        for (int w = 0; w < kWindowsPerThread; ++w) {
-          const Tensor window = Tensor::RandNormal(
-              Shape::Matrix(1, config.backbone.input_dim), rng);
-          while (true) {
-            Result<std::future<int>> f = manager.SubmitWindow(
-                ids[static_cast<size_t>((t + w) % kSessions)], window);
-            if (f.ok()) {
-              futures.push_back(std::move(f).value());
-              break;
+      ingest.emplace_back(
+          [&manager, &ids, &config, &classified, &halfway, &stalled, t] {
+            Rng rng(100 + t);
+            std::vector<std::future<int>> futures;
+            for (int w = 0; w < kWindowsPerThread; ++w) {
+              if (w == kWindowsPerThread / 2) {
+                halfway.fetch_add(1, std::memory_order_acq_rel);
+                while (!stalled.load(std::memory_order_acquire)) {
+                  std::this_thread::yield();
+                }
+              }
+              const Tensor window = Tensor::RandNormal(
+                  Shape::Matrix(1, config.backbone.input_dim), rng);
+              while (true) {
+                Result<std::future<int>> f = manager.SubmitWindow(
+                    ids[static_cast<size_t>((t + w) % kSessions)], window);
+                if (f.ok()) {
+                  futures.push_back(std::move(f).value());
+                  break;
+                }
+                ASSERT_EQ(f.status().code(), StatusCode::kResourceExhausted);
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+              }
             }
-            ASSERT_EQ(f.status().code(), StatusCode::kResourceExhausted);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-        }
-        for (std::future<int>& f : futures) {
-          f.get();
-          classified.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+            for (std::future<int>& f : futures) {
+              f.get();
+              classified.fetch_add(1, std::memory_order_relaxed);
+            }
+          });
     }
+
+    // Mid-ingest stall: park the worker once every thread is halfway, let
+    // the second halves queue behind it, and hold it for 5ms after the
+    // first of them arrives.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (halfway.load(std::memory_order_acquire) < kThreads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    manager.engine().PauseForTesting();
+    stalled.store(true, std::memory_order_release);
+    while (manager.engine().queue_depth() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    manager.engine().ResumeForTesting();
     for (std::thread& thread : ingest) thread.join();
-    EXPECT_EQ(manager.watchdog().stalls_detected(), 0);
+
+    // A new class the failpoint rejects before any training starts.
+    Rng rng(200);
+    const data::Dataset d_new(
+        Tensor::RandNormal(Shape::Matrix(8, config.backbone.input_dim), rng),
+        std::vector<int>(8, 4));
+    Result<core::TrainReport> learned =
+        manager.LearnNewClasses(ids.front(), d_new);
+    ASSERT_FALSE(learned.ok());
+    EXPECT_EQ(learned.status().code(), StatusCode::kIoError);
   }
   exporter.Stop();
   ASSERT_GE(exporter.ticks_completed(), 1);
@@ -409,8 +441,8 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   EXPECT_GT(stage_sum, 0.0);
   EXPECT_LE(stage_sum, request.sum * 1.0001 + 0.01);
 
-  // At least one slow-window exemplar was captured for the injected-slow
-  // flushes: the 3ms retry backoff dominates the tail, so the slowest
+  // At least one slow-window exemplar was captured for the stalled
+  // windows: the 5ms queue wait dominates the tail, so the slowest
   // captured window carries it.
   EXPECT_GE(SlowWindows().recorded(), 1);
   std::vector<SlowWindowExemplar> exemplars = SlowWindows().Snapshot();
@@ -424,128 +456,20 @@ TEST_F(TelemetryTest, ExporterRunsConcurrentlyWithServingIngest) {
   EXPECT_GE(slowest_ms, 2.5);
 
   // The JSONL stream carries the exemplars and, cumulatively, the
-  // injected failpoint's fires.
+  // failpoint's fires.
   const std::string& last = lines.back();
   EXPECT_NE(last.find("\"exemplars\":[{\"sequence\":"), std::string::npos);
   int64_t fires = -1;
   for (const fail::FailpointStats& stats :
        fail::FailpointRegistry::Global().Stats()) {
-    if (stats.name == "serve/predict") fires = stats.fires;
+    if (stats.name == "core/learn/begin") fires = stats.fires;
   }
   EXPECT_GT(fires, 0);
-  const size_t predict = last.find("\"serve/predict\":{\"armed\":true",
-                                   last.find("\"failpoints\":{"));
-  ASSERT_NE(predict, std::string::npos);
-  EXPECT_EQ(NumberAfter(last, "\"fires\":", predict),
+  const size_t learn = last.find("\"core/learn/begin\":{\"armed\":true",
+                                 last.find("\"failpoints\":{"));
+  ASSERT_NE(learn, std::string::npos);
+  EXPECT_EQ(NumberAfter(last, "\"fires\":", learn),
             static_cast<double>(fires));
-}
-
-// ------------------------------------------------------------- watchdog
-
-TEST_F(TelemetryTest, WatchdogDetectsFlushStaleUnderStuckPredict) {
-  fail::ScopedFailpoints failpoints;
-  // Every predict fails; with a generous retry budget and exponential
-  // backoff the worker wedges inside one flush while windows queue behind
-  // it — exactly the flush-stale signature.
-  ASSERT_TRUE(fail::FailpointRegistry::Global()
-                  .Arm("serve/predict", fail::FailpointSpec::Always(
-                                            StatusCode::kUnavailable))
-                  .ok());
-
-  const core::PiloteConfig config = core::PiloteConfig::Small();
-  serve::ServeOptions options;
-  options.max_batch = 1;  // one window per flush keeps the queue non-empty
-  options.max_delay_us = 0;
-  options.predict_retries = 4;
-  options.retry_backoff_us = 20000;  // 20+40+80+160ms: ~300ms wedged/flush
-  options.watchdog_poll_ms = 0;      // polled deterministically below
-  options.watchdog_stall_after_ms = 40;
-  serve::SessionManager manager(options);
-  std::shared_ptr<serve::LearnerHandle> handle = MakeHandle(config);
-  Result<serve::SessionId> id =
-      manager.CreateSession(handle, config.streaming);
-  ASSERT_TRUE(id.ok());
-
-  Rng rng(7);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 3; ++i) {
-    Result<std::future<int>> f = manager.SubmitWindow(
-        *id, Tensor::RandNormal(Shape::Matrix(1, config.backbone.input_dim),
-                                rng));
-    ASSERT_TRUE(f.ok()) << f.status().ToString();
-    futures.push_back(std::move(f).value());
-  }
-
-  serve::Watchdog& watchdog = manager.watchdog();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (watchdog.stalls_detected() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    watchdog.PollOnceForTesting();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GE(watchdog.stalls_detected(), 1) << "no stall detected in 20s";
-  bool found = false;
-  for (const serve::StallEvent& event : watchdog.Events()) {
-    if (event.reason == serve::StallEvent::Reason::kFlushStale) {
-      found = true;
-      EXPECT_GE(event.queue_depth, 1);
-      EXPECT_GE(event.flush_age_ms, 40.0);
-    }
-  }
-  EXPECT_TRUE(found);
-  // The structured event is mirrored into the labeled stall counter.
-  CounterFamily stalls = FamilyRegistry::Global().GetCounterFamily(
-      "serve/stalls_total", "reason", {"flush_stale"});
-  EXPECT_GE(stalls.At(0).value(), 1);
-
-  // All requests eventually complete (degraded) once the retry budget
-  // drains; the manager then shuts down cleanly.
-  for (std::future<int>& f : futures) f.get();
-}
-
-TEST_F(TelemetryTest, WatchdogDetectsQueueWatermarkOnBacklog) {
-  const core::PiloteConfig config = core::PiloteConfig::Small();
-  serve::ServeOptions options;
-  options.queue_capacity = 8;
-  options.watchdog_queue_watermark = 0.5;
-  options.watchdog_poll_ms = 0;
-  serve::SessionManager manager(options);
-  std::shared_ptr<serve::LearnerHandle> handle = MakeHandle(config);
-  Result<serve::SessionId> id =
-      manager.CreateSession(handle, config.streaming);
-  ASSERT_TRUE(id.ok());
-
-  manager.engine().PauseForTesting();
-  Rng rng(9);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 5; ++i) {
-    Result<std::future<int>> f = manager.SubmitWindow(
-        *id, Tensor::RandNormal(Shape::Matrix(1, config.backbone.input_dim),
-                                rng));
-    ASSERT_TRUE(f.ok());
-    futures.push_back(std::move(f).value());
-  }
-
-  serve::Watchdog& watchdog = manager.watchdog();
-  watchdog.PollOnceForTesting();
-  watchdog.PollOnceForTesting();  // edge-triggered: no second event
-  std::vector<serve::StallEvent> events = watchdog.Events();
-  size_t watermark_events = 0;
-  for (const serve::StallEvent& event : events) {
-    if (event.reason == serve::StallEvent::Reason::kQueueWatermark) {
-      ++watermark_events;
-      EXPECT_GE(event.queue_depth, 4);
-    }
-  }
-  EXPECT_EQ(watermark_events, 1u);
-
-  manager.engine().ResumeForTesting();
-  for (std::future<int>& f : futures) f.get();
-  // Once the backlog drains, the episode ends and a fresh backlog would be
-  // a new event; an immediate poll on the empty queue emits nothing.
-  watchdog.PollOnceForTesting();
-  EXPECT_EQ(watchdog.Events().size(), events.size());
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ Four stages, selected with --stage (default: all).
     registry Get{Counter,Gauge,Histogram}[Family] calls) follow the
     telemetry naming convention: a lowercase `subsystem/name` path, time
     unit suffixes (_ms/_us/_ns/_seconds) only on histograms, and the
-    Prometheus-style `_total` suffix only on counters
+    `_total` suffix only on counters
 
 `--stage concurrency` enforces the repo side of the Clang thread-safety
 contract (src/common/thread_annotations.h) -- invariants that even
@@ -102,6 +102,7 @@ Exit status is 0 when clean, 1 when any invariant is violated.
 """
 
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -347,30 +348,47 @@ def check_metric_names(root, rel_path, errors):
         if name.endswith("_total") and kind != "counter":
             errors.append(
                 f"{where}: {kind} \"{name}\" uses the _total suffix, "
-                "which the Prometheus exposition reserves for counters")
+                "which the metric naming convention reserves for counters "
+                "(a running count of events)")
+
+
+# Compiler stderr lines quoted under a failed self-containedness compile.
+SELF_CONTAINED_STDERR_LINES = 5
+
+
+def compile_header_alone(root, tmp, rel_path, compiler):
+    """Syntax-checks one header as its own translation unit. Returns the
+    finding, or None when it compiles."""
+    stub = os.path.join(tmp, re.sub(r"[^A-Za-z0-9]", "_", rel_path) + ".cc")
+    with open(stub, "w", encoding="utf-8") as f:
+        f.write(f'#include "{os.path.abspath(os.path.join(root, rel_path))}"\n')
+    cmd = [
+        compiler, "-std=c++20", "-fsyntax-only",
+        "-I", os.path.join(root, "src"),
+        "-I", root,
+        stub,
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    lines = proc.stderr.strip().splitlines()
+    first_error = next((l for l in lines if "error" in l),
+                       lines[0] if lines else "")
+    quoted = "".join(f"\n    {l}" for l in lines[:SELF_CONTAINED_STDERR_LINES])
+    return (f"{rel_path}:1: header is not self-contained: {first_error} "
+            f"(compiler exit code {proc.returncode}){quoted}")
 
 
 def check_self_contained(root, headers, compiler, errors):
     """Each header must compile on its own: generate `#include "x.h"` TUs and
-    run the compiler in syntax-only mode."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for rel_path in headers:
-            stub = os.path.join(tmp, re.sub(r"[^A-Za-z0-9]", "_", rel_path) + ".cc")
-            with open(stub, "w", encoding="utf-8") as f:
-                f.write(f'#include "{os.path.abspath(os.path.join(root, rel_path))}"\n')
-            cmd = [
-                compiler, "-std=c++20", "-fsyntax-only",
-                "-I", os.path.join(root, "src"),
-                "-I", root,
-                stub,
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                first_error = next(
-                    (l for l in proc.stderr.splitlines() if "error" in l),
-                    proc.stderr.strip().splitlines()[0] if proc.stderr.strip() else "")
-                errors.append(
-                    f"{rel_path}:1: header is not self-contained: {first_error}")
+    run the compiler in syntax-only mode, one compile per CPU at a time."""
+    workers = os.cpu_count() or 1
+    with tempfile.TemporaryDirectory() as tmp, \
+            concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        findings = pool.map(
+            lambda rel_path: compile_header_alone(root, tmp, rel_path, compiler),
+            headers)
+        errors.extend(sorted(f for f in findings if f is not None))
 
 
 # ---------------------------------------------------------------------------

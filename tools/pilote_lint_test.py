@@ -117,7 +117,7 @@ class GuardedMembersTest(unittest.TestCase):
 
     def test_pointer_const_member_passes(self):
         src = """
-            class Watchdog {
+            class Monitor {
               Mutex mutex_;
               Engine* const engine_;
               int depth_ PILOTE_GUARDED_BY(mutex_);
@@ -127,7 +127,7 @@ class GuardedMembersTest(unittest.TestCase):
 
     def test_mutable_pointer_member_still_fires(self):
         src = """
-            class Watchdog {
+            class Monitor {
               Mutex mutex_;
               Engine* engine_;
             };
@@ -508,7 +508,7 @@ class MetricNamesTest(unittest.TestCase):
             PILOTE_METRIC_HISTOGRAM("serve/request_ms", ms);
             PILOTE_METRIC_GAUGE_SET("serve/queue_depth", depth);
             registry.GetCounter("tensor/gemm_calls");
-            registry.GetCounterFamily("serve/stalls_total", "reason", {"x"});
+            registry.GetCounterFamily("serve/rejected_total", "reason", {"x"});
             registry.GetHistogramFamily("serve/stage_ms", "stage", {"a"});
         """
         self.assertEqual(metric_errors(src), [])
@@ -847,6 +847,34 @@ class LifetimeIterInvalidationTest(unittest.TestCase):
                 "  }\n"
                 "}\n"),
             [])
+
+
+class SelfContainedTest(unittest.TestCase):
+    def test_reports_each_failing_header_sorted_with_exit_code(self):
+        compiler = os.environ.get("CXX", "c++")
+        files = {
+            os.path.join("src", "b", "bad.h"): "std::vector<int> v;\n",
+            os.path.join("src", "a", "bad.h"): "std::string s;\n",
+            os.path.join("src", "a", "ok.h"): "#include <string>\n"
+                                              "std::string s;\n",
+        }
+        errors = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel, content in files.items():
+                path = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(content)
+            pilote_lint.check_self_contained(tmp, sorted(files, reverse=True),
+                                             compiler, errors)
+        self.assertEqual(len(errors), 2, errors)
+        self.assertTrue(errors[0].startswith(os.path.join("src", "a", "bad.h")))
+        self.assertTrue(errors[1].startswith(os.path.join("src", "b", "bad.h")))
+        for error in errors:
+            self.assertIn("header is not self-contained", error)
+            self.assertIn("(compiler exit code 1)", error)
+            # The compiler's own stderr lines follow, indented.
+            self.assertIn("\n    ", error)
 
 
 class StageWiringTest(unittest.TestCase):
