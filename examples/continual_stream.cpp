@@ -8,6 +8,7 @@
 //
 // Build & run:  ./build/examples/continual_stream
 #include <cstdio>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,8 +22,9 @@
 #include "tensor/tensor_ops.h"
 
 using pilote::core::CloudPretrainer;
+using pilote::core::EdgeLearner;
+using pilote::core::MakeEdgeLearner;
 using pilote::core::PiloteConfig;
-using pilote::core::PiloteLearner;
 using pilote::har::Activity;
 using pilote::har::ActivityLabel;
 using pilote::har::ActivityName;
@@ -49,7 +51,7 @@ pilote::data::Dataset CaptureActivity(
   return pilote::data::Dataset(pilote::ConcatRows(rows), std::move(labels));
 }
 
-void ReportKnownClasses(PiloteLearner& learner,
+void ReportKnownClasses(EdgeLearner& learner,
                         const pilote::data::Dataset& test) {
   pilote::data::Dataset known = test.FilterByClasses(learner.known_classes());
   std::vector<int> predictions = learner.Predict(known.features());
@@ -90,7 +92,10 @@ int main() {
       pretrainer.Run(d_old);
   PILOTE_CHECK(pretrain.ok()) << pretrain.status().ToString();
   pilote::core::CloudPretrainResult cloud = std::move(pretrain).value();
-  PiloteLearner learner(cloud.artifact, config);
+  pilote::Result<std::unique_ptr<EdgeLearner>> made =
+      MakeEdgeLearner("pilote", cloud.artifact, config);
+  PILOTE_CHECK(made.ok()) << made.status().ToString();
+  EdgeLearner& learner = **made;
 
   std::vector<pilote::data::Dataset> test_parts;
   for (Activity activity : pilote::har::AllActivities()) {

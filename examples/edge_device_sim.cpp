@@ -6,6 +6,7 @@
 //
 // Build & run:  ./build/examples/edge_device_sim
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "common/macros.h"
@@ -16,8 +17,9 @@
 #include "serialize/quantize.h"
 
 using pilote::core::CloudPretrainer;
+using pilote::core::EdgeLearner;
+using pilote::core::MakeEdgeLearner;
 using pilote::core::PiloteConfig;
-using pilote::core::PiloteLearner;
 using pilote::har::Activity;
 using pilote::serialize::QuantMode;
 
@@ -41,7 +43,10 @@ int main() {
               cloud.artifact.model_payload.size());
 
   // ---- The device enforces a cache budget: K = 240 exemplars total ----
-  PiloteLearner learner(cloud.artifact, config);
+  pilote::Result<std::unique_ptr<EdgeLearner>> made =
+      MakeEdgeLearner("pilote", cloud.artifact, config);
+  PILOTE_CHECK(made.ok()) << made.status().ToString();
+  EdgeLearner& learner = **made;
   std::printf("support set as shipped: %lld exemplars, %lld B fp32\n",
               static_cast<long long>(learner.support().TotalExemplars()),
               static_cast<long long>(

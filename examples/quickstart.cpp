@@ -3,12 +3,13 @@
 //   1. Generate simulated HAR feature data (the stand-in for the paper's
 //      collected corpus).
 //   2. Pre-train the siamese embedding model on four activities ("cloud").
-//   3. Hand the artifact to a PiloteLearner and integrate the fifth
+//   3. Build a PILOTE learner from the artifact and integrate the fifth
 //      activity from a handful of samples ("edge").
 //   4. Classify fresh windows with the NCM classifier.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "common/macros.h"
@@ -17,8 +18,9 @@
 #include "har/har_dataset.h"
 
 using pilote::core::CloudPretrainer;
+using pilote::core::EdgeLearner;
+using pilote::core::MakeEdgeLearner;
 using pilote::core::PiloteConfig;
-using pilote::core::PiloteLearner;
 using pilote::har::Activity;
 using pilote::har::ActivityName;
 using pilote::har::HarDataGenerator;
@@ -44,7 +46,10 @@ int main() {
               static_cast<long long>(cloud.artifact.TransferBytes()));
 
   // ---- Edge: a new activity ('Run') arrives with 60 samples ----
-  PiloteLearner learner(cloud.artifact, config);
+  pilote::Result<std::unique_ptr<EdgeLearner>> made =
+      MakeEdgeLearner("pilote", cloud.artifact, config);
+  PILOTE_CHECK(made.ok()) << made.status().ToString();
+  EdgeLearner& learner = **made;
   pilote::data::Dataset d_new = generator.Generate(Activity::kRun, 60);
   pilote::Result<pilote::core::TrainReport> learned =
       learner.LearnNewClasses(d_new);

@@ -54,31 +54,12 @@ LogLevel InitialLevel() {
     std::fprintf(stderr, "[W logging] unknown PILOTE_LOG_LEVEL '%s', using info\n",
                  spec);
   }
-  if (std::getenv("PILOTE_QUIET") != nullptr) return LogLevel::kWarning;
   return LogLevel::kInfo;
 }
 
-std::atomic<int>& LevelStorage() {
-  static std::atomic<int> level{static_cast<int>(InitialLevel())};
+LogLevel MinLevel() {
+  static const LogLevel level = InitialLevel();
   return level;
-}
-
-// Optional secondary sink; opened once on first use and intentionally never
-// closed (log statements may run during static destruction).
-std::FILE* FileSink() {
-  static std::FILE* sink = [] {
-    const char* path = std::getenv("PILOTE_LOG_FILE");
-    if (path == nullptr || *path == '\0') {
-      return static_cast<std::FILE*>(nullptr);
-    }
-    std::FILE* f = std::fopen(path, "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[W logging] cannot open PILOTE_LOG_FILE '%s'\n",
-                   path);
-    }
-    return f;
-  }();
-  return sink;
 }
 
 const char* LevelName(LogLevel level) {
@@ -97,22 +78,10 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  // Relaxed: the level is an independent filter knob; no other state is
-  // published through it.
-  LevelStorage().store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(
-      LevelStorage().load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               LevelStorage().load(std::memory_order_relaxed)) {
+    : enabled_(level >= MinLevel()) {
   if (enabled_) {
     const char* base = file;
     for (const char* p = file; *p != '\0'; ++p) {
@@ -128,12 +97,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 
 LogMessage::~LogMessage() {
   if (enabled_) {
-    const std::string line = stream_.str();
-    std::fprintf(stderr, "%s\n", line.c_str());
-    if (std::FILE* sink = FileSink()) {
-      std::fprintf(sink, "%s\n", line.c_str());
-      std::fflush(sink);
-    }
+    std::fprintf(stderr, "%s\n", stream_.str().c_str());
   }
 }
 

@@ -8,16 +8,11 @@ namespace pilote {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Process-wide minimum level; messages below it are dropped. The startup
-// default is resolved from the environment, most specific wins:
-//   PILOTE_LOG_LEVEL=debug|info|warning|error (or 0-3)  explicit level
-//   PILOTE_QUIET (any value)                            kWarning
-//   otherwise                                           kInfo
-// Every line carries a monotonic seconds-since-start timestamp and a dense
-// thread id. When PILOTE_LOG_FILE names a path, lines are additionally
-// appended there (stderr always receives them).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+// Process-wide minimum level, read once from the environment; messages
+// below it are dropped:
+//   PILOTE_LOG_LEVEL=debug|info|warning|error (or 0-3), default info.
+// Every line goes to stderr with a monotonic seconds-since-start timestamp
+// and a dense thread id.
 
 namespace internal {
 

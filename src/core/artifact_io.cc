@@ -13,10 +13,9 @@ namespace core {
 namespace {
 
 constexpr uint32_t kArtifactMagic = 0x504C5441;  // "PLTA"
-constexpr uint32_t kLegacyArtifactVersion = 1;
 constexpr uint32_t kArtifactVersion = 2;
 
-// v2 section tags, in file order.
+// Section tags, in file order.
 constexpr uint32_t kSectionConfig = 0x30474643;   // "CFG0"
 constexpr uint32_t kSectionModel = 0x304C444D;    // "MDL0"
 constexpr uint32_t kSectionScaler = 0x304C4353;   // "SCL0"
@@ -72,7 +71,7 @@ Result<int64_t> ReadI64(std::istream& is) {
   return value;
 }
 
-// ---- Section bodies (shared between the v2 writer and both parsers) ----
+// ---- Section bodies ----
 
 void WriteConfigBody(std::ostream& os, const nn::BackboneConfig& backbone) {
   WriteI64(os, backbone.input_dim);
@@ -116,6 +115,13 @@ Status WriteScalerBody(std::ostream& os, const CloudArtifact& artifact) {
 Status ParseScalerBody(std::istream& is, CloudArtifact& artifact) {
   PILOTE_ASSIGN_OR_RETURN(Tensor mean, serialize::ReadTensor(is));
   PILOTE_ASSIGN_OR_RETURN(Tensor stddev, serialize::ReadTensor(is));
+  // StandardScaler and SupportSet CHECK their shapes; a file that breaks
+  // them comes back as a Status instead.
+  if (mean.rank() != 1 || stddev.shape() != mean.shape()) {
+    return Status::DataLoss("scaler mean " + mean.shape().ToString() +
+                            " and stddev " + stddev.shape().ToString() +
+                            " are not two vectors of one width");
+  }
   artifact.scaler.SetState(std::move(mean), std::move(stddev));
   return Status::Ok();
 }
@@ -155,16 +161,25 @@ Status ParseSupportBody(std::istream& is, CloudArtifact& artifact) {
   if (num_classes < 0 || num_classes > 1 << 20) {
     return Status::DataLoss("implausible support class count");
   }
+  int64_t width = -1;
   for (int64_t i = 0; i < num_classes; ++i) {
     PILOTE_ASSIGN_OR_RETURN(uint32_t label, ReadU32(is));
     PILOTE_ASSIGN_OR_RETURN(Tensor exemplars, serialize::ReadTensor(is));
+    if (exemplars.rank() != 2 || exemplars.rows() == 0 ||
+        (width >= 0 && exemplars.cols() != width)) {
+      return Status::DataLoss("support class " + std::to_string(label) +
+                              " exemplars " + exemplars.shape().ToString() +
+                              " are not a non-empty matrix of the set's "
+                              "width");
+    }
+    width = exemplars.cols();
     artifact.support.SetClassExemplars(static_cast<int>(label),
                                        std::move(exemplars));
   }
   return Status::Ok();
 }
 
-// ---- v2 frame helpers ----
+// ---- Section frames ----
 
 void AppendSection(std::ostream& os, uint32_t tag, const std::string& body) {
   WriteU32(os, tag);
@@ -174,7 +189,8 @@ void AppendSection(std::ostream& os, uint32_t tag, const std::string& body) {
 }
 
 // Reads the next section, requiring `expected_tag`, and CRC-verifies its
-// body into `body_stream`.
+// body into `body_stream`. A size word larger than the rest of the file is
+// rejected before the body is allocated.
 Status OpenSection(std::istream& is, uint32_t expected_tag,
                    std::istringstream& body_stream) {
   PILOTE_ASSIGN_OR_RETURN(uint32_t tag, ReadU32(is));
@@ -185,9 +201,12 @@ Status OpenSection(std::istream& is, uint32_t expected_tag,
   }
   PILOTE_ASSIGN_OR_RETURN(uint64_t size, ReadU64(is));
   PILOTE_ASSIGN_OR_RETURN(uint32_t expected_crc, ReadU32(is));
-  if (size > (1ULL << 33)) {
-    return Status::DataLoss(std::string("implausible size for section ") +
-                            SectionName(expected_tag));
+  PILOTE_ASSIGN_OR_RETURN(uint64_t bytes_left, serialize::BytesLeft(is));
+  if (size > bytes_left) {
+    return Status::DataLoss(std::string("truncated section ") +
+                            SectionName(expected_tag) + ": size word " +
+                            std::to_string(size) + ", " +
+                            std::to_string(bytes_left) + " bytes left");
   }
   std::string body(static_cast<size_t>(size), '\0');
   is.read(body.data(), static_cast<std::streamsize>(body.size()));
@@ -203,7 +222,7 @@ Status OpenSection(std::istream& is, uint32_t expected_tag,
   return Status::Ok();
 }
 
-Result<CloudArtifact> LoadArtifactV2(std::istream& is) {
+Result<CloudArtifact> ParseSections(std::istream& is) {
   CloudArtifact artifact;
   std::istringstream body;
 
@@ -212,9 +231,6 @@ Result<CloudArtifact> LoadArtifactV2(std::istream& is) {
 
   PILOTE_RETURN_IF_ERROR(OpenSection(is, kSectionModel, body));
   artifact.model_payload = body.str();
-  if (artifact.model_payload.size() > (1ULL << 32)) {
-    return Status::DataLoss("implausible model payload size");
-  }
 
   PILOTE_RETURN_IF_ERROR(OpenSection(is, kSectionScaler, body));
   PILOTE_RETURN_IF_ERROR(ParseScalerBody(body, artifact));
@@ -224,26 +240,6 @@ Result<CloudArtifact> LoadArtifactV2(std::istream& is) {
 
   PILOTE_RETURN_IF_ERROR(OpenSection(is, kSectionSupport, body));
   PILOTE_RETURN_IF_ERROR(ParseSupportBody(body, artifact));
-  return artifact;
-}
-
-// v1: all fields sequential after the header, model payload preceded by
-// an explicit i64 size, no checksums.
-Result<CloudArtifact> LoadArtifactV1(std::istream& is) {
-  CloudArtifact artifact;
-  PILOTE_RETURN_IF_ERROR(ParseConfigBody(is, artifact.backbone_config));
-
-  PILOTE_ASSIGN_OR_RETURN(int64_t payload_size, ReadI64(is));
-  if (payload_size < 0 || payload_size > (1LL << 32)) {
-    return Status::DataLoss("implausible model payload size");
-  }
-  artifact.model_payload.resize(static_cast<size_t>(payload_size));
-  is.read(artifact.model_payload.data(), payload_size);
-  if (!is) return Status::DataLoss("truncated model payload");
-
-  PILOTE_RETURN_IF_ERROR(ParseScalerBody(is, artifact));
-  PILOTE_RETURN_IF_ERROR(ParseClassesBody(is, artifact));
-  PILOTE_RETURN_IF_ERROR(ParseSupportBody(is, artifact));
   return artifact;
 }
 
@@ -290,29 +286,11 @@ Result<CloudArtifact> LoadArtifact(const std::string& path) {
   PILOTE_ASSIGN_OR_RETURN(uint32_t magic, ReadU32(is));
   if (magic != kArtifactMagic) return Status::DataLoss("bad artifact magic");
   PILOTE_ASSIGN_OR_RETURN(uint32_t version, ReadU32(is));
-  if (version == kLegacyArtifactVersion) return LoadArtifactV1(is);
   if (version != kArtifactVersion) {
     return Status::DataLoss("unsupported artifact version " +
                             std::to_string(version));
   }
-  return LoadArtifactV2(is);
-}
-
-Status SaveArtifactV1ForTesting(const std::string& path,
-                                const CloudArtifact& artifact) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return Status::IoError("cannot open for write: " + path);
-  WriteU32(os, kArtifactMagic);
-  WriteU32(os, kLegacyArtifactVersion);
-  WriteConfigBody(os, artifact.backbone_config);
-  WriteI64(os, static_cast<int64_t>(artifact.model_payload.size()));
-  os.write(artifact.model_payload.data(),
-           static_cast<std::streamsize>(artifact.model_payload.size()));
-  PILOTE_RETURN_IF_ERROR(WriteScalerBody(os, artifact));
-  WriteClassesBody(os, artifact);
-  PILOTE_RETURN_IF_ERROR(WriteSupportBody(os, artifact));
-  if (!os) return Status::IoError("failed writing artifact");
-  return Status::Ok();
+  return ParseSections(is);
 }
 
 }  // namespace core

@@ -9,27 +9,23 @@
 namespace pilote {
 namespace core {
 
-// Persistence for the full cloud artifact — the single file MAGNETO ships
-// from the training cluster to a device.
+// Persistence for the full cloud artifact: the single file MAGNETO ships
+// from the training cluster to a device, and the only on-disk format.
+// core::MakeEdgeLearner (core/edge_learner.h) turns a loaded artifact into
+// a learner.
 //
-// Format version 2 (current): magic "PLTA", version word, then five
-// sections — backbone config, model payload, scaler state, old-class
-// list, support set — each framed as [u32 tag][u64 size][u32 crc32]
-// [bytes]. Saves serialize to memory and land via
-// serialize::WriteFileAtomic, so an interrupted save never clobbers the
-// previous artifact; loads verify every section CRC and report torn or
-// bit-flipped files as kDataLoss, naming the damaged section.
-//
-// Version-1 files (sequential fields, no CRC) still load via a fallback
-// parser keyed off the version word.
+// Layout: magic "PLTA", version word 2, then five sections (backbone
+// config, model payload, scaler state, old-class list, support set), each
+// framed as [u32 tag][u64 size][u32 crc32][bytes]. Saves serialize to
+// memory and land via serialize::WriteFileAtomic, so an interrupted save
+// never clobbers the previous artifact. Loads return kDataLoss for a bad
+// magic or any other version word; they bound every section size by the
+// bytes left in the file before allocating it and verify every section
+// CRC, so a torn or bit-flipped file is kDataLoss naming the damaged
+// section.
 // Failpoints: "core/artifact/save", "core/artifact/load".
 Status SaveArtifact(const std::string& path, const CloudArtifact& artifact);
 Result<CloudArtifact> LoadArtifact(const std::string& path);
-
-// Writes the legacy v1 layout. Test-only: exists so the compatibility
-// suite can fabricate old files without keeping binary fixtures in-tree.
-Status SaveArtifactV1ForTesting(const std::string& path,
-                                const CloudArtifact& artifact);
 
 }  // namespace core
 }  // namespace pilote

@@ -53,25 +53,6 @@ NcmClassifier PrototypesOf(nn::MlpBackbone& model, const SupportSet& support) {
 
 }  // namespace
 
-EdgeLearner::EdgeLearner(const CloudArtifact& artifact,
-                         const PiloteConfig& config)
-    : EdgeLearner(
-          [&artifact, &config] {
-            PILOTE_CHECK(artifact.backbone_config.input_dim ==
-                         config.backbone.input_dim)
-                << "artifact/config backbone mismatch";
-            Rng init_rng(config.seed);
-            auto model = std::make_unique<nn::MlpBackbone>(
-                artifact.backbone_config, init_rng);
-            // The edge receives the model as bytes: a real deserialization
-            // models the MAGNETO transfer step.
-            Status status = serialize::DeserializeModuleFromString(
-                artifact.model_payload, *model);
-            PILOTE_CHECK(status.ok()) << status.ToString();
-            return model;
-          }(),
-          artifact, config) {}
-
 EdgeLearner::EdgeLearner(std::unique_ptr<nn::MlpBackbone> model,
                          const CloudArtifact& artifact,
                          const PiloteConfig& config)
@@ -304,6 +285,61 @@ void EdgeLearner::EnrichSupportSet(const data::Dataset& scaled_new,
   std::sort(state.known_classes.begin(), state.known_classes.end());
 }
 
+namespace {
+
+// Baseline 1 (Sec 6.1.3): the pre-trained model is used as-is; new classes
+// only get prototypes from their (random) exemplars. No edge training.
+class PretrainedLearner final : public EdgeLearner {
+ public:
+  using EdgeLearner::EdgeLearner;
+
+ protected:
+  Result<TrainReport> DoLearnNewClasses(
+      const data::Dataset& scaled_new, State& state) const override;
+};
+
+// Baseline 2 (Sec 6.1.3, Table 2's "without considering the catastrophic
+// forgetting problem"): the pre-trained model is fine-tuned with the same
+// incremental contrastive training as PILOTE, but with every forgetting
+// counter-measure removed (no distillation, free batch-norm statistics,
+// no anchoring of the old pair side).
+class RetrainedLearner final : public EdgeLearner {
+ public:
+  using EdgeLearner::EdgeLearner;
+
+ protected:
+  Result<TrainReport> DoLearnNewClasses(
+      const data::Dataset& scaled_new, State& state) const override;
+};
+
+// PILOTE (Algo 1, edge part): joint distillation + contrastive objective
+// over the reduced pair set (old x new cross pairs plus new x new pairs).
+class PiloteLearner final : public EdgeLearner {
+ public:
+  using EdgeLearner::EdgeLearner;
+
+ protected:
+  Result<TrainReport> DoLearnNewClasses(
+      const data::Dataset& scaled_new, State& state) const override;
+};
+
+// Extra continual-learning baseline from the paper's related work
+// (Prabhu et al., ECCV 2020): GDumb keeps a greedily balanced exemplar
+// cache and, whenever queried, retrains the model FROM SCRATCH on the
+// cache alone. It questions whether incremental methods beat the dumb
+// strategy; here it inherits the siamese/NCM pipeline so the comparison
+// is apples-to-apples.
+class GdumbLearner final : public EdgeLearner {
+ public:
+  using EdgeLearner::EdgeLearner;
+
+ protected:
+  Result<TrainReport> DoLearnNewClasses(
+      const data::Dataset& scaled_new, State& state) const override;
+};
+
+}  // namespace
+
 Result<TrainReport> PretrainedLearner::DoLearnNewClasses(
     const data::Dataset& scaled_new, State& state) const {
   EnrichSupportSet(scaled_new, state);
@@ -415,11 +451,34 @@ Result<TrainReport> GdumbLearner::DoLearnNewClasses(
 
 Status ValidateArtifact(const CloudArtifact& artifact,
                         const PiloteConfig& config) {
-  if (artifact.backbone_config.input_dim != config.backbone.input_dim) {
+  // The model is built from the artifact's config section before its
+  // payload is read, so that section must name the caller's backbone: a
+  // corrupt layer width would otherwise size the allocation.
+  const nn::BackboneConfig& shipped = artifact.backbone_config;
+  const nn::BackboneConfig& expected = config.backbone;
+  if (shipped.input_dim != expected.input_dim ||
+      shipped.hidden_dims != expected.hidden_dims ||
+      shipped.embedding_dim != expected.embedding_dim ||
+      shipped.use_batchnorm != expected.use_batchnorm) {
+    auto describe = [](const nn::BackboneConfig& backbone) {
+      std::string text = std::to_string(backbone.input_dim) + "->[";
+      for (size_t i = 0; i < backbone.hidden_dims.size(); ++i) {
+        if (i > 0) text += ",";
+        text += std::to_string(backbone.hidden_dims[i]);
+      }
+      return text + "]->" + std::to_string(backbone.embedding_dim) +
+             (backbone.use_batchnorm ? " with batch norm" : "");
+    };
+    return Status::InvalidArgument("artifact/config backbone mismatch: "
+                                   "artifact " + describe(shipped) +
+                                   " vs config " + describe(expected));
+  }
+  if (artifact.scaler.mean().numel() != shipped.input_dim) {
     return Status::InvalidArgument(
-        "artifact/config backbone mismatch: artifact input_dim " +
-        std::to_string(artifact.backbone_config.input_dim) + " vs config " +
-        std::to_string(config.backbone.input_dim));
+        "artifact scaler width " +
+        std::to_string(artifact.scaler.mean().numel()) +
+        " does not match backbone input " +
+        std::to_string(shipped.input_dim));
   }
   if (artifact.support.NumClasses() == 0) {
     return Status::InvalidArgument("artifact support set is empty");
@@ -431,11 +490,11 @@ Status ValidateArtifact(const CloudArtifact& artifact,
                                      std::to_string(label) +
                                      " has no exemplars");
     }
-    if (exemplars.cols() != artifact.backbone_config.input_dim) {
+    if (exemplars.cols() != shipped.input_dim) {
       return Status::InvalidArgument(
           "support class " + std::to_string(label) + " feature width " +
           std::to_string(exemplars.cols()) + " does not match backbone " +
-          std::to_string(artifact.backbone_config.input_dim));
+          std::to_string(shipped.input_dim));
     }
   }
   return Status::Ok();
@@ -454,19 +513,17 @@ Result<std::unique_ptr<EdgeLearner>> MakeEdgeLearner(
   PILOTE_RETURN_IF_ERROR(
       serialize::DeserializeModuleFromString(artifact.model_payload, *model));
 
+  // The strategies inherit EdgeLearner's protected constructor, which
+  // only this friend may call: hence `new` over std::make_unique.
   std::unique_ptr<EdgeLearner> learner;
   if (strategy == "pretrained") {
-    learner = std::make_unique<PretrainedLearner>(std::move(model), artifact,
-                                                  config);
+    learner.reset(new PretrainedLearner(std::move(model), artifact, config));
   } else if (strategy == "retrained") {
-    learner = std::make_unique<RetrainedLearner>(std::move(model), artifact,
-                                                 config);
+    learner.reset(new RetrainedLearner(std::move(model), artifact, config));
   } else if (strategy == "pilote") {
-    learner =
-        std::make_unique<PiloteLearner>(std::move(model), artifact, config);
+    learner.reset(new PiloteLearner(std::move(model), artifact, config));
   } else if (strategy == "gdumb") {
-    learner =
-        std::make_unique<GdumbLearner>(std::move(model), artifact, config);
+    learner.reset(new GdumbLearner(std::move(model), artifact, config));
   } else {
     return Status::InvalidArgument("unknown edge learner strategy: " +
                                    strategy);

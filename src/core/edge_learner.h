@@ -19,11 +19,12 @@
 namespace pilote {
 namespace core {
 
-// Base of the three edge-side learners the paper compares (Sec 6.1.3).
-// Construction deserializes the cloud artifact (modeling the transfer),
-// rebuilds the class prototypes and is immediately ready for inference.
-// LearnNewClasses integrates a batch of new-class samples; each subclass
-// implements the paper's corresponding update strategy.
+// Base of the edge-side learners the paper compares (Sec 6.1.3).
+// MakeEdgeLearner (below) is the only way to build one: it deserializes
+// the cloud artifact's model payload (modeling the transfer), and the
+// learner rebuilds the class prototypes and is immediately ready for
+// inference. LearnNewClasses integrates a batch of new-class samples; each
+// strategy implements the paper's corresponding update.
 //
 // Thread-safety contract (what the serving layer's locks enforce through
 // the type system): every const member is a pure read and safe to call
@@ -44,12 +45,6 @@ namespace core {
 // SetCompiledInferenceEnabled(false).
 class EdgeLearner {
  public:
-  EdgeLearner(const CloudArtifact& artifact, const PiloteConfig& config);
-  // Adopts an already-deserialized backbone (the Result-returning factory
-  // path, where payload corruption must surface as a Status, not a CHECK).
-  // `model` must match `artifact.backbone_config`.
-  EdgeLearner(std::unique_ptr<nn::MlpBackbone> model,
-              const CloudArtifact& artifact, const PiloteConfig& config);
   virtual ~EdgeLearner() = default;
 
   EdgeLearner(const EdgeLearner&) = delete;
@@ -169,6 +164,12 @@ class EdgeLearner {
   void RebuildPrototypes();
 
  protected:
+  // Adopts the backbone MakeEdgeLearner deserialized from
+  // `artifact.model_payload`, so a corrupt payload has already come back
+  // as a Status. `model` must match `artifact.backbone_config`.
+  EdgeLearner(std::unique_ptr<nn::MlpBackbone> model,
+              const CloudArtifact& artifact, const PiloteConfig& config);
+
   // Strategy body, called by StageNewClasses with the already-scaled new
   // data and the staged copy of the state, which it may mutate freely.
   virtual Result<TrainReport> DoLearnNewClasses(
@@ -184,6 +185,10 @@ class EdgeLearner {
   data::StandardScaler scaler_;
 
  private:
+  friend Result<std::unique_ptr<EdgeLearner>> MakeEdgeLearner(
+      const std::string& strategy, const CloudArtifact& artifact,
+      const PiloteConfig& config);
+
   // The compiled plan of `state` (scaler + model + classifier), tagged
   // `version`; nullptr (eager fallback) when compiled inference is off,
   // there are no classes yet, or the capture failed.
@@ -200,69 +205,23 @@ class EdgeLearner {
   std::shared_ptr<const exec::InferencePlan> plan_;
 };
 
-// Baseline 1 (Sec 6.1.3): the pre-trained model is used as-is; new classes
-// only get prototypes from their (random) exemplars. No edge training.
-class PretrainedLearner : public EdgeLearner {
- public:
-  using EdgeLearner::EdgeLearner;
-
- protected:
-  Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new, State& state) const override;
-};
-
-// Baseline 2 (Sec 6.1.3, Table 2's "without considering the catastrophic
-// forgetting problem"): the pre-trained model is fine-tuned with the same
-// incremental contrastive training as PILOTE, but with every forgetting
-// counter-measure removed (no distillation, free batch-norm statistics,
-// no anchoring of the old pair side).
-class RetrainedLearner : public EdgeLearner {
- public:
-  using EdgeLearner::EdgeLearner;
-
- protected:
-  Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new, State& state) const override;
-};
-
-// PILOTE (Algo 1, edge part): joint distillation + contrastive objective
-// over the reduced pair set (old x new cross pairs plus new x new pairs).
-class PiloteLearner : public EdgeLearner {
- public:
-  using EdgeLearner::EdgeLearner;
-
- protected:
-  Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new, State& state) const override;
-};
-
-// Extra continual-learning baseline from the paper's related work
-// (Prabhu et al., ECCV 2020): GDumb keeps a greedily balanced exemplar
-// cache and, whenever queried, retrains the model FROM SCRATCH on the
-// cache alone. It questions whether incremental methods beat the dumb
-// strategy; here it inherits the siamese/NCM pipeline so the comparison
-// is apples-to-apples.
-class GdumbLearner : public EdgeLearner {
- public:
-  using EdgeLearner::EdgeLearner;
-
- protected:
-  Result<TrainReport> DoLearnNewClasses(
-      const data::Dataset& scaled_new, State& state) const override;
-};
-
-// Validates that `artifact` can seed an edge learner under `config`:
-// non-empty support set, exemplar width / backbone input agreement, and
-// artifact/config backbone-dimension agreement. Returns kInvalidArgument
-// describing the first violation.
+// Validates that `artifact` can seed an edge learner under `config`: the
+// artifact's backbone config equals config.backbone (input, hidden and
+// embedding widths, batch norm), the scaler and every exemplar are as
+// wide as the backbone input, and the support set is non-empty. Returns
+// kInvalidArgument describing the first violation.
 Status ValidateArtifact(const CloudArtifact& artifact,
                         const PiloteConfig& config);
 
-// Factory covering the strategies by name ("pretrained", "retrained",
-// "pilote", "gdumb"). Returns kInvalidArgument for unknown names or an
-// artifact that fails ValidateArtifact, and propagates the deserialization
-// Status for corrupt model payloads — the device-facing entry point never
-// aborts on a bad cloud transfer.
+// The one way to build a learner from a cloud artifact. Strategies by
+// name: "pretrained" (no edge training, new classes only get prototypes),
+// "retrained" (contrastive fine-tuning with no forgetting
+// counter-measure), "pilote" (Algo 1, edge part) and "gdumb" (balanced
+// cache, retrained from scratch); edge_learner.cc documents each.
+// Returns kInvalidArgument for unknown names or an artifact that fails
+// ValidateArtifact, and the deserialization Status (kDataLoss) for a
+// corrupt model payload: the device-facing entry point never aborts on a
+// bad cloud transfer.
 Result<std::unique_ptr<EdgeLearner>> MakeEdgeLearner(
     const std::string& strategy, const CloudArtifact& artifact,
     const PiloteConfig& config);

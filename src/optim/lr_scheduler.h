@@ -10,73 +10,29 @@
 namespace pilote {
 namespace optim {
 
-// Epoch-indexed learning-rate schedule. Call OnEpochBegin(epoch) before the
+// The paper's learning-rate schedule (Sec 6.1.2): lr starts at
+// `initial_lr` and is halved every epoch, with an optional floor to avoid
+// vanishing updates on long runs. Call OnEpochBegin(epoch) before the
 // first batch of each epoch (epoch counting from 0).
-class LrScheduler {
+class HalvingLr {
  public:
-  explicit LrScheduler(Optimizer* optimizer) : optimizer_(optimizer) {
+  explicit HalvingLr(Optimizer* optimizer, float initial_lr = 0.01f,
+                     float min_lr = 1e-5f)
+      : optimizer_(optimizer), initial_lr_(initial_lr), min_lr_(min_lr) {
     PILOTE_CHECK(optimizer != nullptr);
   }
-  virtual ~LrScheduler() = default;
 
   void OnEpochBegin(int epoch) { optimizer_->set_lr(LrForEpoch(epoch)); }
 
-  virtual float LrForEpoch(int epoch) const = 0;
-
- protected:
-  Optimizer* optimizer_;
-};
-
-// The paper's schedule (Sec 6.1.2): lr starts at `initial_lr` and is halved
-// every epoch, with an optional floor to avoid vanishing updates on long runs.
-class HalvingLr : public LrScheduler {
- public:
-  HalvingLr(Optimizer* optimizer, float initial_lr = 0.01f,
-            float min_lr = 1e-5f)
-      : LrScheduler(optimizer), initial_lr_(initial_lr), min_lr_(min_lr) {}
-
-  float LrForEpoch(int epoch) const override {
+  float LrForEpoch(int epoch) const {
     return std::max(min_lr_,
                     initial_lr_ * std::pow(0.5f, static_cast<float>(epoch)));
   }
 
  private:
+  Optimizer* optimizer_;
   float initial_lr_;
   float min_lr_;
-};
-
-// Multiplies the LR by `gamma` every `step_size` epochs.
-class StepLr : public LrScheduler {
- public:
-  StepLr(Optimizer* optimizer, float initial_lr, int step_size, float gamma)
-      : LrScheduler(optimizer),
-        initial_lr_(initial_lr),
-        step_size_(step_size),
-        gamma_(gamma) {
-    PILOTE_CHECK_GT(step_size, 0);
-  }
-
-  float LrForEpoch(int epoch) const override {
-    return initial_lr_ *
-           std::pow(gamma_, static_cast<float>(epoch / step_size_));
-  }
-
- private:
-  float initial_lr_;
-  int step_size_;
-  float gamma_;
-};
-
-// Fixed learning rate.
-class ConstantLr : public LrScheduler {
- public:
-  ConstantLr(Optimizer* optimizer, float lr)
-      : LrScheduler(optimizer), lr_(lr) {}
-
-  float LrForEpoch(int) const override { return lr_; }
-
- private:
-  float lr_;
 };
 
 }  // namespace optim

@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
@@ -12,13 +15,10 @@ namespace pilote {
 namespace serialize {
 namespace {
 
-constexpr uint32_t kTensorFileMagic = 0x504C5454;  // "PLTT"
-constexpr uint32_t kModuleFileMagic = 0x504C544D;  // "PLTM"
-// v1: [magic][version][u64 count][records] with no integrity check.
-// v2: [magic][version][u64 payload_size][u32 payload_crc][payload] where
-//     payload is the v1 body ([u64 count][records]).
-constexpr uint32_t kLegacyFormatVersion = 1;
+constexpr uint32_t kModuleMagic = 0x504C544D;  // "PLTM"
 constexpr uint32_t kFormatVersion = 2;
+// [u32 magic][u32 version][u64 payload_size][u32 payload_crc]
+constexpr size_t kFrameHeaderBytes = 20;
 
 void WriteU32(std::ostream& os, uint32_t value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -42,50 +42,44 @@ Result<uint64_t> ReadU64(std::istream& is) {
   return value;
 }
 
-// Wraps an already-serialized payload in the v2 CRC frame.
-std::string FramePayload(uint32_t magic, const std::string& payload) {
-  std::ostringstream os(std::ios::binary);
-  WriteU32(os, magic);
-  WriteU32(os, kFormatVersion);
-  WriteU64(os, static_cast<uint64_t>(payload.size()));
-  WriteU32(os, Crc32(payload));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return os.str();
+template <typename T>
+T LoadAt(std::string_view bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
 }
 
-// Checks magic/version and hands back a stream positioned at the body
-// ([u64 count][records]). For v2 the payload is extracted and CRC-checked
-// into `owned_payload` first; for v1 the original stream is used as-is.
-Result<std::istream*> OpenBody(std::istream& is, uint32_t expected_magic,
-                               std::istringstream& owned_payload) {
-  PILOTE_ASSIGN_OR_RETURN(uint32_t magic, ReadU32(is));
-  if (magic != expected_magic) {
+// Checks the module frame's magic, version, size and CRC, and returns the
+// payload it verified.
+Result<std::string_view> OpenBody(std::string_view frame) {
+  if (frame.size() < kFrameHeaderBytes) {
+    return Status::DataLoss("truncated module frame header");
+  }
+  if (LoadAt<uint32_t>(frame, 0) != kModuleMagic) {
     return Status::DataLoss("bad magic number");
   }
-  PILOTE_ASSIGN_OR_RETURN(uint32_t version, ReadU32(is));
-  if (version == kLegacyFormatVersion) {
-    return &is;  // pre-CRC format: body follows the version word directly
-  }
+  const uint32_t version = LoadAt<uint32_t>(frame, 4);
   if (version != kFormatVersion) {
     return Status::DataLoss("unsupported format version " +
                             std::to_string(version));
   }
-  PILOTE_ASSIGN_OR_RETURN(uint64_t payload_size, ReadU64(is));
-  PILOTE_ASSIGN_OR_RETURN(uint32_t expected_crc, ReadU32(is));
-  if (payload_size > (1ULL << 33)) {
-    return Status::DataLoss("implausible payload size");
+  const uint64_t payload_size = LoadAt<uint64_t>(frame, 8);
+  const uint32_t expected_crc = LoadAt<uint32_t>(frame, 16);
+  if (payload_size > frame.size() - kFrameHeaderBytes) {
+    return Status::DataLoss("truncated payload: frame claims " +
+                            std::to_string(payload_size) + " bytes, " +
+                            std::to_string(frame.size() - kFrameHeaderBytes) +
+                            " present");
   }
-  std::string payload(static_cast<size_t>(payload_size), '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!is) return Status::DataLoss("truncated payload");
-  uint32_t actual_crc = Crc32(payload);
+  const std::string_view payload =
+      frame.substr(kFrameHeaderBytes, static_cast<size_t>(payload_size));
+  const uint32_t actual_crc = Crc32(payload);
   if (actual_crc != expected_crc) {
     return Status::DataLoss("payload checksum mismatch (stored " +
                             std::to_string(expected_crc) + ", computed " +
                             std::to_string(actual_crc) + ")");
   }
-  owned_payload.str(std::move(payload));
-  return &owned_payload;
+  return payload;
 }
 
 }  // namespace
@@ -136,13 +130,16 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return Status::Ok();
 }
 
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (!is && !is.eof()) return Status::IoError("failed reading " + path);
-  return buffer.str();
+Result<uint64_t> BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (here == std::istream::pos_type(-1) ||
+      end == std::istream::pos_type(-1) || !is) {
+    return Status::DataLoss("cannot measure the bytes left in the stream");
+  }
+  return static_cast<uint64_t>(end - here);
 }
 
 Status WriteTensor(std::ostream& os, const Tensor& tensor) {
@@ -161,12 +158,21 @@ Result<Tensor> ReadTensor(std::istream& is) {
   if (rank > 8) return Status::DataLoss("implausible tensor rank");
   std::vector<int64_t> dims;
   dims.reserve(rank);
-  int64_t numel = 1;
+  uint64_t numel = 1;
   for (uint32_t i = 0; i < rank; ++i) {
     PILOTE_ASSIGN_OR_RETURN(uint64_t dim, ReadU64(is));
     if (dim > (1ULL << 32)) return Status::DataLoss("implausible dimension");
+    if (dim != 0 && numel > std::numeric_limits<uint64_t>::max() / dim) {
+      return Status::DataLoss("tensor element count overflows");
+    }
     dims.push_back(static_cast<int64_t>(dim));
-    numel *= static_cast<int64_t>(dim);
+    numel *= dim;
+  }
+  PILOTE_ASSIGN_OR_RETURN(uint64_t bytes_left, BytesLeft(is));
+  if (numel > bytes_left / sizeof(float)) {
+    return Status::DataLoss("tensor of " + std::to_string(numel) +
+                            " elements needs more than the " +
+                            std::to_string(bytes_left) + " bytes left");
   }
   Tensor tensor((Shape(dims)));
   is.read(reinterpret_cast<char*>(tensor.data()),
@@ -175,58 +181,30 @@ Result<Tensor> ReadTensor(std::istream& is) {
   return tensor;
 }
 
-namespace {
-
-Status WriteTensorListBody(std::ostream& os,
-                           const std::vector<const Tensor*>& tensors) {
-  WriteU64(os, static_cast<uint64_t>(tensors.size()));
-  for (const Tensor* tensor : tensors) {
-    PILOTE_RETURN_IF_ERROR(WriteTensor(os, *tensor));
-  }
-  if (!os) return Status::IoError("failed writing tensor list");
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status SaveTensors(const std::string& path,
-                   const std::vector<Tensor>& tensors) {
-  std::vector<const Tensor*> refs;
-  refs.reserve(tensors.size());
-  for (const Tensor& tensor : tensors) refs.push_back(&tensor);
+std::string SerializeModuleToString(const nn::Module& module) {
+  const std::vector<const Tensor*> state = module.StateTensors();
   std::ostringstream body(std::ios::binary);
-  PILOTE_RETURN_IF_ERROR(WriteTensorListBody(body, refs));
-  return WriteFileAtomic(path, FramePayload(kTensorFileMagic, body.str()));
-}
-
-Result<std::vector<Tensor>> LoadTensors(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for read: " + path);
-  std::istringstream owned;
-  PILOTE_ASSIGN_OR_RETURN(std::istream * body,
-                          OpenBody(is, kTensorFileMagic, owned));
-  PILOTE_ASSIGN_OR_RETURN(uint64_t count, ReadU64(*body));
-  std::vector<Tensor> tensors;
-  tensors.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PILOTE_ASSIGN_OR_RETURN(Tensor tensor, ReadTensor(*body));
-    tensors.push_back(std::move(tensor));
+  WriteU64(body, static_cast<uint64_t>(state.size()));
+  for (const Tensor* tensor : state) {
+    Status status = WriteTensor(body, *tensor);
+    // Writing to a memory stream only fails on logic errors, never I/O.
+    PILOTE_CHECK(status.ok()) << status.ToString();
   }
-  return tensors;
+  const std::string payload = std::move(body).str();
+
+  std::ostringstream os(std::ios::binary);
+  WriteU32(os, kModuleMagic);
+  WriteU32(os, kFormatVersion);
+  WriteU64(os, static_cast<uint64_t>(payload.size()));
+  WriteU32(os, Crc32(payload));
+  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  return std::move(os).str();
 }
 
-namespace {
-
-std::string SerializeModuleBody(const nn::Module& module) {
-  std::vector<const Tensor*> refs = module.StateTensors();
-  std::ostringstream body(std::ios::binary);
-  Status status = WriteTensorListBody(body, refs);
-  // Writing to a memory stream only fails on logic errors, never I/O.
-  PILOTE_CHECK(status.ok()) << status.ToString();
-  return body.str();
-}
-
-Status ReadModuleBody(std::istream& is, nn::Module& module) {
+Status DeserializeModuleFromString(const std::string& payload,
+                                   nn::Module& module) {
+  PILOTE_ASSIGN_OR_RETURN(std::string_view verified, OpenBody(payload));
+  std::istringstream is(std::string(verified), std::ios::binary);
   std::vector<Tensor*> state = module.MutableStateTensors();
   PILOTE_ASSIGN_OR_RETURN(uint64_t count, ReadU64(is));
   if (count != state.size()) {
@@ -244,36 +222,6 @@ Status ReadModuleBody(std::istream& is, nn::Module& module) {
     *slot = std::move(tensor);
   }
   return Status::Ok();
-}
-
-Status ReadFramedModule(std::istream& is, nn::Module& module) {
-  std::istringstream owned;
-  PILOTE_ASSIGN_OR_RETURN(std::istream * body,
-                          OpenBody(is, kModuleFileMagic, owned));
-  return ReadModuleBody(*body, module);
-}
-
-}  // namespace
-
-Status SaveModule(const std::string& path, const nn::Module& module) {
-  return WriteFileAtomic(
-      path, FramePayload(kModuleFileMagic, SerializeModuleBody(module)));
-}
-
-Status LoadModule(const std::string& path, nn::Module& module) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for read: " + path);
-  return ReadFramedModule(is, module);
-}
-
-std::string SerializeModuleToString(const nn::Module& module) {
-  return FramePayload(kModuleFileMagic, SerializeModuleBody(module));
-}
-
-Status DeserializeModuleFromString(const std::string& payload,
-                                   nn::Module& module) {
-  std::istringstream is(payload, std::ios::binary);
-  return ReadFramedModule(is, module);
 }
 
 }  // namespace serialize

@@ -1,10 +1,10 @@
 #ifndef PILOTE_SERIALIZE_IO_H_
 #define PILOTE_SERIALIZE_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -14,20 +14,19 @@
 namespace pilote {
 namespace serialize {
 
-// Versioned little-endian binary format for tensors and module state.
-// This is the artifact that "moves" from the cloud to the edge in the
-// MAGNETO deployment: the pre-trained model, the feature scaler and the
-// exemplar support set all round-trip through these functions.
+// Little-endian binary records for tensors and module state, the building
+// blocks of the cloud artifact (core/artifact_io.h) that "moves" the
+// pre-trained model, the feature scaler and the exemplar support set from
+// the cloud to the edge in the MAGNETO deployment.
 //
-// Crash safety (format version 2):
-//  * Files are framed as [magic][u32 version][u64 payload_size]
-//    [u32 payload_crc][payload]; the CRC-32 (common/crc32.h) covers the
-//    payload, so a torn tail or a flipped bit is reported as kDataLoss —
-//    the loader never deserializes garbage into a live model.
-//  * Saves serialize to memory first, then go through WriteFileAtomic
-//    (write to "<path>.tmp", then rename), so a crash mid-save leaves
-//    either the old file or the new file, never a half-written one.
-//  * Version-1 files (no CRC frame) still load via a fallback path.
+//  * The module payload is framed as [magic "PLTM"][u32 version 2]
+//    [u64 payload_size][u32 payload_crc][payload]; the CRC-32
+//    (common/crc32.h) covers the payload, so a torn tail or a flipped bit
+//    is reported as kDataLoss: the loader never deserializes garbage into
+//    a live model. Any other version word is kDataLoss too.
+//  * Every size word is checked against the bytes actually present before
+//    anything is allocated, so a corrupt size costs a Status, never an
+//    allocation larger than the input.
 
 // ---- Crash-safe file primitive ----
 // Writes `contents` to "<path>.tmp" and renames it over `path`. Any
@@ -38,31 +37,22 @@ namespace serialize {
 // "serialize/atomic/torn", "serialize/atomic/rename".
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
-Result<std::string> ReadFileToString(const std::string& path);
-
 // ---- Stream primitives ----
+// Bytes between the read position of `is` and its end, measured with two
+// O(1) seeks; kDataLoss when the stream cannot seek.
+Result<uint64_t> BytesLeft(std::istream& is);
+
 // Raw tensor records (rank, dims, row-major floats) with no CRC frame of
-// their own; callers embed them inside a framed payload.
+// their own; callers embed them inside a checksummed payload. ReadTensor
+// returns kDataLoss for a rank above 8, or an element count that overflows
+// or needs more bytes than are left in `is`.
 Status WriteTensor(std::ostream& os, const Tensor& tensor);
 Result<Tensor> ReadTensor(std::istream& is);
 
-// ---- Tensor collections ----
-// File layout: magic "PLTT", CRC frame, tensor count, tensors.
-Status SaveTensors(const std::string& path, const std::vector<Tensor>& tensors);
-Result<std::vector<Tensor>> LoadTensors(const std::string& path);
-
 // ---- Module state ----
-// Serializes Module::StateTensors() in order (magic "PLTM"). Saving reads
-// through the const state surface; loading writes through
-// Module::MutableStateTensors() and verifies that the stored shapes match
-// the module's structure.
-Status SaveModule(const std::string& path, const nn::Module& module);
-Status LoadModule(const std::string& path, nn::Module& module);
-
-// In-memory round trip (used to model the cloud->edge transfer and to
-// measure the transfer payload in bytes). The string carries the same
-// CRC frame as the on-disk format, so an embedded payload (e.g. inside a
-// deployment artifact) detects corruption independently.
+// Serializes Module::StateTensors() in order, inside the CRC frame above.
+// Deserializing writes through Module::MutableStateTensors() and verifies
+// that the stored shapes match the module's structure.
 std::string SerializeModuleToString(const nn::Module& module);
 Status DeserializeModuleFromString(const std::string& payload,
                                    nn::Module& module);

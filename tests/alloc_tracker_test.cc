@@ -16,12 +16,14 @@ namespace pilote {
 namespace alloc {
 namespace {
 
-// Heap traffic the optimizer cannot elide: the pointer escapes through a
-// volatile sink before being freed.
+// Hands `p` to an empty asm statement that may read any memory, so the
+// optimizer cannot elide the allocation behind it.
+void Escape(const void* p) { asm volatile("" : : "r"(p) : "memory"); }
+
+// Heap traffic the optimizer cannot elide.
 void TouchHeap(size_t bytes) {
   char* p = new char[bytes];
-  static volatile char sink;
-  sink = p[0];
+  Escape(p);
   delete[] p;
 }
 
@@ -90,8 +92,7 @@ TEST_F(AllocTrackerTest, OveralignedAllocationIsCounted) {
     char data[64];
   };
   auto w = std::make_unique<Wide>();
-  static volatile char sink;
-  sink = w->data[0];
+  Escape(w.get());
   EXPECT_GE(scope.count(), 1);
   EXPECT_GE(scope.bytes(), 64);
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -15,12 +16,14 @@
 #include "har/preprocessing.h"
 #include "har/window_assembler.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace core {
 namespace {
 
 using har::Activity;
+using pilote::testing::MustMakeLearner;
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -78,10 +81,12 @@ TEST_F(DeploymentTest, ArtifactRoundTripPreservesBehaviour) {
             state_->artifact.support.TotalExemplars());
 
   // A learner built from the loaded artifact predicts identically.
-  PretrainedLearner original(state_->artifact, state_->config);
-  PretrainedLearner restored(*loaded, state_->config);
-  EXPECT_EQ(original.Predict(state_->test.features()),
-            restored.Predict(state_->test.features()));
+  std::unique_ptr<EdgeLearner> original =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> restored =
+      MustMakeLearner("pretrained", *loaded, state_->config);
+  EXPECT_EQ(original->Predict(state_->test.features()),
+            restored->Predict(state_->test.features()));
   std::remove(path.c_str());
 }
 
@@ -107,22 +112,6 @@ TEST_F(DeploymentTest, ArtifactLoadRejectsTruncation) {
   std::remove(path.c_str());
 }
 
-TEST_F(DeploymentTest, LegacyV1ArtifactStillLoadsAndPredictsIdentically) {
-  // Devices in the field hold pre-CRC v1 artifacts; the versioned header
-  // keeps them loadable after the v2 migration.
-  const std::string path = TempPath("pilote_artifact_v1.bin");
-  ASSERT_TRUE(SaveArtifactV1ForTesting(path, state_->artifact).ok());
-  Result<CloudArtifact> loaded = LoadArtifact(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->old_classes, state_->artifact.old_classes);
-  EXPECT_EQ(loaded->model_payload, state_->artifact.model_payload);
-  PretrainedLearner original(state_->artifact, state_->config);
-  PretrainedLearner restored(*loaded, state_->config);
-  EXPECT_EQ(original.Predict(state_->test.features()),
-            restored.Predict(state_->test.features()));
-  std::remove(path.c_str());
-}
-
 TEST_F(DeploymentTest, MissingArtifactFileIsIoError) {
   Result<CloudArtifact> loaded = LoadArtifact("/no/such/artifact.bin");
   EXPECT_FALSE(loaded.ok());
@@ -132,9 +121,10 @@ TEST_F(DeploymentTest, MissingArtifactFileIsIoError) {
 // ------------------------------------------------------------- Streaming
 
 TEST_F(DeploymentTest, StreamingClassifierEmitsOnePredictionPerWindow) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   StreamingClassifier::Options options;
-  StreamingClassifier classifier(&learner, options);
+  StreamingClassifier classifier(learner.get(), options);
 
   EXPECT_FALSE(classifier.CurrentActivity().ok());
 
@@ -148,10 +138,11 @@ TEST_F(DeploymentTest, StreamingClassifierEmitsOnePredictionPerWindow) {
 }
 
 TEST_F(DeploymentTest, StreamingClassifierRecognizesActivities) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   StreamingClassifier::Options options;
   options.vote_window = 3;
-  StreamingClassifier classifier(&learner, options);
+  StreamingClassifier classifier(learner.get(), options);
 
   har::SensorSimulator sensors(78);
   har::Recording recording =
@@ -168,13 +159,14 @@ TEST_F(DeploymentTest, MajorityVoteSuppressesIsolatedFlips) {
   // The same recording through a raw stream (vote_window = 1) and a
   // smoothed one: the raw labels may contain isolated flips, but the
   // smoothed stream must flip no more often.
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   StreamingClassifier::Options raw_options;
   raw_options.vote_window = 1;
-  StreamingClassifier raw_stream(&learner, raw_options);
+  StreamingClassifier raw_stream(learner.get(), raw_options);
   StreamingClassifier::Options smoothed_options;
   smoothed_options.vote_window = 5;
-  StreamingClassifier smoothed_stream(&learner, smoothed_options);
+  StreamingClassifier smoothed_stream(learner.get(), smoothed_options);
 
   har::SensorSimulator sensors(79);
   har::Recording walk = har::RecordContinuous(sensors, Activity::kWalk, 8);
@@ -193,8 +185,9 @@ TEST_F(DeploymentTest, MajorityVoteSuppressesIsolatedFlips) {
 }
 
 TEST_F(DeploymentTest, PushSampleValidatesShape) {
-  PretrainedLearner learner(state_->artifact, state_->config);
-  StreamingClassifier classifier(&learner, {});
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
+  StreamingClassifier classifier(learner.get(), {});
   EXPECT_DEATH(classifier.PushSample(Tensor(Shape::Vector(5))),
                "CHECK failed");
 }
@@ -202,10 +195,11 @@ TEST_F(DeploymentTest, PushSampleValidatesShape) {
 TEST_F(DeploymentTest, VoteWindowOneIsRawStream) {
   // With vote_window = 1 every emitted label is the learner's own label
   // for that window's features, assembled exactly as the stream does.
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   StreamingClassifier::Options options;
   options.vote_window = 1;
-  StreamingClassifier classifier(&learner, options);
+  StreamingClassifier classifier(learner.get(), options);
   har::SensorSimulator sensors(80);
   har::Recording recording =
       har::RecordContinuous(sensors, Activity::kEscooter, 4);
@@ -217,7 +211,7 @@ TEST_F(DeploymentTest, VoteWindowOneIsRawStream) {
   std::vector<int> per_window;
   for (int64_t t = 0; t < recording.samples.rows(); ++t) {
     if (assembler.Append(RowAt(recording.samples, t), &features)) {
-      per_window.push_back(learner.Predict(features).front());
+      per_window.push_back(learner->Predict(features).front());
     }
   }
   ASSERT_EQ(per_window.size(), 4u);
@@ -229,9 +223,10 @@ TEST_F(DeploymentTest, PushSampleAllocationsStayFlatOverLongStreams) {
   // allocator the same fixed count: nothing may grow with the number of
   // windows classified (a per-window history would reallocate at each
   // doubling).
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   StreamingClassifier::Options options;
-  StreamingClassifier classifier(&learner, options);
+  StreamingClassifier classifier(learner.get(), options);
   har::SensorSimulator sensors(81);
   har::Recording recording =
       har::RecordContinuous(sensors, Activity::kWalk, 1);

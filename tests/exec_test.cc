@@ -24,6 +24,7 @@
 #include "har/har_dataset.h"
 #include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace {
@@ -279,10 +280,8 @@ class CompiledLearnerTest : public ::testing::Test {
   }
 
   static std::unique_ptr<core::EdgeLearner> MakeLearner() {
-    Result<std::unique_ptr<core::EdgeLearner>> made = core::MakeEdgeLearner(
-        "pretrained", state_->artifact, state_->config);
-    PILOTE_CHECK(made.ok()) << made.status().ToString();
-    return std::move(made).value();
+    return testing::MustMakeLearner("pretrained", state_->artifact,
+                                    state_->config);
   }
 
   struct State {

@@ -12,6 +12,7 @@
 #include "data/splits.h"
 #include "eval/metrics.h"
 #include "har/har_dataset.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace core {
@@ -19,6 +20,7 @@ namespace {
 
 using har::Activity;
 using har::ActivityLabel;
+using pilote::testing::MustMakeLearner;
 
 // Shared fixture: generate data and pre-train once for all tests (the
 // cloud phase is the expensive part).
@@ -91,26 +93,28 @@ TEST_F(PipelineTest, ArtifactHoldsExemplarsForOldClassesOnly) {
 }
 
 TEST_F(PipelineTest, PretrainedLearnerClassifiesOldClassesWell) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   data::Dataset old_test = state_->test_all.FilterByClasses(
       state_->artifact.old_classes);
-  const double accuracy = learner.Evaluate(old_test);
+  const double accuracy = learner->Evaluate(old_test);
   EXPECT_GT(accuracy, 0.75) << "pre-trained old-class accuracy";
 }
 
 TEST_F(PipelineTest, GdumbRetrainsFromScratchAndBalancesCache) {
-  GdumbLearner learner(state_->artifact, state_->config);
-  TrainReport report = MustLearn(learner, state_->d_new);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("gdumb", state_->artifact, state_->config);
+  TrainReport report = MustLearn(*learner, state_->d_new);
   EXPECT_GT(report.epochs_completed, 0);
   // The cache is balanced: every class holds the same exemplar count.
   int64_t expected = -1;
-  for (int label : learner.support().Classes()) {
-    const int64_t count = learner.support().CountForClass(label);
+  for (int label : learner->support().Classes()) {
+    const int64_t count = learner->support().CountForClass(label);
     if (expected < 0) expected = count;
     EXPECT_EQ(count, expected) << "class " << label;
   }
   // It must still produce a usable 5-class model.
-  EXPECT_GT(learner.Evaluate(state_->test_all), 0.5);
+  EXPECT_GT(learner->Evaluate(state_->test_all), 0.5);
 }
 
 TEST_F(PipelineTest, AllLearnersGainTheNewClass) {
@@ -134,13 +138,15 @@ TEST_F(PipelineTest, AllLearnersGainTheNewClass) {
 }
 
 TEST_F(PipelineTest, TrainedLearnersBeatThePretrainedBaseline) {
-  PretrainedLearner pretrained(state_->artifact, state_->config);
-  MustLearn(pretrained, state_->d_new);
-  PiloteLearner pilote(state_->artifact, state_->config);
-  MustLearn(pilote, state_->d_new);
+  std::unique_ptr<EdgeLearner> pretrained =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
+  MustLearn(*pretrained, state_->d_new);
+  std::unique_ptr<EdgeLearner> pilote =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*pilote, state_->d_new);
 
-  const double base = pretrained.Evaluate(state_->test_all);
-  const double ours = pilote.Evaluate(state_->test_all);
+  const double base = pretrained->Evaluate(state_->test_all);
+  const double ours = pilote->Evaluate(state_->test_all);
   // Table 2's ordering: PILOTE > pre-trained on the 5-class test set.
   EXPECT_GT(ours, base - 0.02) << "pilote=" << ours << " base=" << base;
 }
@@ -149,57 +155,64 @@ TEST_F(PipelineTest, DistillationImprovesOldClassRetention) {
   // The method's core invariant (Def. 2): with the distillation term
   // (alpha = 0.5) the updated model retains more old-class accuracy than
   // the identical training run without it (alpha = 0).
-  PiloteLearner with_distill(state_->artifact, state_->config);
-  MustLearn(with_distill, state_->d_new);
+  std::unique_ptr<EdgeLearner> with_distill =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*with_distill, state_->d_new);
 
   PiloteConfig no_distill_config = state_->config;
   no_distill_config.alpha = 0.0f;
-  PiloteLearner without_distill(state_->artifact, no_distill_config);
-  MustLearn(without_distill, state_->d_new);
+  std::unique_ptr<EdgeLearner> without_distill =
+      MustMakeLearner("pilote", state_->artifact, no_distill_config);
+  MustLearn(*without_distill, state_->d_new);
 
   data::Dataset old_test = state_->test_all.FilterByClasses(
       state_->artifact.old_classes);
-  const double old_acc_with = with_distill.Evaluate(old_test);
-  const double old_acc_without = without_distill.Evaluate(old_test);
+  const double old_acc_with = with_distill->Evaluate(old_test);
+  const double old_acc_without = without_distill->Evaluate(old_test);
   EXPECT_GT(old_acc_with, old_acc_without - 0.01)
       << "with=" << old_acc_with << " without=" << old_acc_without;
 }
 
 TEST_F(PipelineTest, LearnersAreDeterministicGivenConfigSeed) {
-  PiloteLearner a(state_->artifact, state_->config);
-  MustLearn(a, state_->d_new);
-  PiloteLearner b(state_->artifact, state_->config);
-  MustLearn(b, state_->d_new);
-  EXPECT_DOUBLE_EQ(a.Evaluate(state_->test_all),
-                   b.Evaluate(state_->test_all));
+  std::unique_ptr<EdgeLearner> a =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*a, state_->d_new);
+  std::unique_ptr<EdgeLearner> b =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*b, state_->d_new);
+  EXPECT_DOUBLE_EQ(a->Evaluate(state_->test_all),
+                   b->Evaluate(state_->test_all));
 }
 
 TEST_F(PipelineTest, LearningAKnownClassIsRejectedWithoutStateChange) {
-  PiloteLearner learner(state_->artifact, state_->config);
-  const size_t known_before = learner.known_classes().size();
-  Result<TrainReport> result = learner.LearnNewClasses(state_->d_old);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  const size_t known_before = learner->known_classes().size();
+  Result<TrainReport> result = learner->LearnNewClasses(state_->d_old);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("already known"),
             std::string::npos);
-  EXPECT_EQ(learner.known_classes().size(), known_before);
+  EXPECT_EQ(learner->known_classes().size(), known_before);
 }
 
 TEST_F(PipelineTest, LearningFromAnEmptyDatasetIsRejected) {
-  PiloteLearner learner(state_->artifact, state_->config);
-  Result<TrainReport> result = learner.LearnNewClasses(data::Dataset());
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  Result<TrainReport> result = learner->LearnNewClasses(data::Dataset());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(PipelineTest, EdgeProfileReportsBudget) {
-  PiloteLearner learner(state_->artifact, state_->config);
-  TrainReport report = MustLearn(learner, state_->d_new);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  TrainReport report = MustLearn(*learner, state_->d_new);
   EdgeProfileReport profile =
-      ProfileEdge(learner, state_->test_all.features(), &report);
+      ProfileEdge(*learner, state_->test_all.features(), &report);
   EXPECT_GT(profile.model_parameters, 0);
   EXPECT_GT(profile.model_bytes, profile.model_parameters * 4 - 1);
-  EXPECT_EQ(profile.support_exemplars, learner.support().TotalExemplars());
+  EXPECT_EQ(profile.support_exemplars, learner->support().TotalExemplars());
   EXPECT_GT(profile.support_bytes_fp32, profile.support_bytes_int8);
   EXPECT_GT(profile.prototype_bytes, 0);
   // Each probe window allocates at least its output labels.
@@ -209,9 +222,10 @@ TEST_F(PipelineTest, EdgeProfileReportsBudget) {
 }
 
 TEST_F(PipelineTest, EdgeProfileWithoutTrainingReportsNa) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   EdgeProfileReport profile =
-      ProfileEdge(learner, state_->test_all.features(), /*last_report=*/nullptr);
+      ProfileEdge(*learner, state_->test_all.features(), /*last_report=*/nullptr);
   EXPECT_TRUE(std::isnan(profile.train_epoch_seconds));
   EXPECT_NE(profile.ToString().find("training: n/a"), std::string::npos);
   EXPECT_GE(profile.inference_allocs_per_window, 1.0);
@@ -220,14 +234,15 @@ TEST_F(PipelineTest, EdgeProfileWithoutTrainingReportsNa) {
 TEST_F(PipelineTest, QuantizedSupportSetStillClassifies) {
   // Storing the cache in int8 must not destroy accuracy (Q2's compressed
   // storage claim).
-  PiloteLearner learner(state_->artifact, state_->config);
-  MustLearn(learner, state_->d_new);
-  const double before = learner.Evaluate(state_->test_all);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*learner, state_->d_new);
+  const double before = learner->Evaluate(state_->test_all);
 
-  Status applied = learner.ApplySupportSetUpdate(
-      learner.support().QuantizeRoundTrip(serialize::QuantMode::kInt8));
+  Status applied = learner->ApplySupportSetUpdate(
+      learner->support().QuantizeRoundTrip(serialize::QuantMode::kInt8));
   ASSERT_TRUE(applied.ok()) << applied.ToString();
-  const double after = learner.Evaluate(state_->test_all);
+  const double after = learner->Evaluate(state_->test_all);
   EXPECT_GT(after, before - 0.1);
 }
 
@@ -241,25 +256,27 @@ TEST_F(PipelineTest, SequentialIncrementsKeepAllClasses) {
   // cannot exist — so instead run the Run increment and verify a second
   // LearnNewClasses with an already-known class is rejected, while
   // re-running on a fresh learner with both orders works class-by-class.
-  PiloteLearner learner(state_->artifact, state_->config);
-  MustLearn(learner, state_->d_new);
-  EXPECT_EQ(learner.known_classes().size(), 5u);
-  EXPECT_EQ(learner.classifier().NumClasses(), 5);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*learner, state_->d_new);
+  EXPECT_EQ(learner->known_classes().size(), 5u);
+  EXPECT_EQ(learner->classifier().NumClasses(), 5);
 
   data::Dataset old_test =
       state_->test_all.FilterByClasses(state_->artifact.old_classes);
-  EXPECT_GT(learner.Evaluate(old_test), 0.7);
+  EXPECT_GT(learner->Evaluate(old_test), 0.7);
 }
 
 TEST_F(PipelineTest, AnchoredVariantAlsoLearnsNewClass) {
   PiloteConfig anchored_config = state_->config;
   anchored_config.anchor_old_pair_side = true;
-  PiloteLearner learner(state_->artifact, anchored_config);
-  MustLearn(learner, state_->d_new);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, anchored_config);
+  MustLearn(*learner, state_->d_new);
   data::Dataset run_test =
       state_->test_all.FilterByClass(ActivityLabel(Activity::kRun));
   auto per_class = eval::PerClassAccuracy(
-      learner.Predict(run_test.features()), run_test.labels());
+      learner->Predict(run_test.features()), run_test.labels());
   EXPECT_GT(per_class[ActivityLabel(Activity::kRun)], 0.25);
 }
 
@@ -267,9 +284,10 @@ TEST_F(PipelineTest, PaperContrastiveFormStillWorksEndToEnd) {
   PiloteConfig eq2_config = state_->config;
   eq2_config.incremental.contrastive_form =
       losses::ContrastiveForm::kSquaredHinge;
-  PiloteLearner learner(state_->artifact, eq2_config);
-  MustLearn(learner, state_->d_new);
-  EXPECT_GT(learner.Evaluate(state_->test_all), 0.6);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, eq2_config);
+  MustLearn(*learner, state_->d_new);
+  EXPECT_GT(learner->Evaluate(state_->test_all), 0.6);
 }
 
 TEST_F(PipelineTest, CloudPretrainerRejectsWrongFeatureWidth) {
@@ -281,49 +299,53 @@ TEST_F(PipelineTest, CloudPretrainerRejectsWrongFeatureWidth) {
 }
 
 TEST_F(PipelineTest, EvaluateOnEmptyTestSetIsFatal) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   data::Dataset empty;
-  EXPECT_DEATH(learner.Evaluate(empty), "CHECK failed");
+  EXPECT_DEATH(learner->Evaluate(empty), "CHECK failed");
 }
 
 TEST_F(PipelineTest, CacheBudgetSurvivesNewClass) {
-  PiloteLearner learner(state_->artifact, state_->config);
-  MustLearn(learner, state_->d_new);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pilote", state_->artifact, state_->config);
+  MustLearn(*learner, state_->d_new);
   // Device enforces a total budget across the now-5 classes.
-  learner.EnforceSupportBudget(100);  // m = 20/class
-  for (int label : learner.support().Classes()) {
-    EXPECT_LE(learner.support().CountForClass(label), 20);
+  learner->EnforceSupportBudget(100);  // m = 20/class
+  for (int label : learner->support().Classes()) {
+    EXPECT_LE(learner->support().CountForClass(label), 20);
   }
-  EXPECT_GT(learner.Evaluate(state_->test_all), 0.5);
+  EXPECT_GT(learner->Evaluate(state_->test_all), 0.5);
 }
 
 TEST_F(PipelineTest, AdaptPrototypeValidatesInputs) {
-  PretrainedLearner learner(state_->artifact, state_->config);
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
   const Tensor rows = state_->test_all.features();
 
-  Status unknown = learner.AdaptPrototype(ActivityLabel(Activity::kRun),
+  Status unknown = learner->AdaptPrototype(ActivityLabel(Activity::kRun),
                                           rows, 0.5);
   EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
 
-  const int known = learner.known_classes().front();
-  Status empty = learner.AdaptPrototype(known, Tensor(), 0.5);
+  const int known = learner->known_classes().front();
+  Status empty = learner->AdaptPrototype(known, Tensor(), 0.5);
   EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
 
   Tensor narrow(Shape::Matrix(4, 7));
-  Status bad_width = learner.AdaptPrototype(known, narrow, 0.5);
+  Status bad_width = learner->AdaptPrototype(known, narrow, 0.5);
   EXPECT_EQ(bad_width.code(), StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(learner.AdaptPrototype(known, rows, 0.0).code(),
+  EXPECT_EQ(learner->AdaptPrototype(known, rows, 0.0).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(learner.AdaptPrototype(known, rows, 1.5).code(),
+  EXPECT_EQ(learner->AdaptPrototype(known, rows, 1.5).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(PipelineTest, AdaptPrototypeBlendsAndRebuildUndoesIt) {
-  PretrainedLearner learner(state_->artifact, state_->config);
-  const int label = learner.known_classes().front();
-  const Tensor before = learner.classifier().prototype(label);
-  const int64_t version_before = learner.model_version();
+  std::unique_ptr<EdgeLearner> learner =
+      MustMakeLearner("pretrained", state_->artifact, state_->config);
+  const int label = learner->known_classes().front();
+  const Tensor before = learner->classifier().prototype(label);
+  const int64_t version_before = learner->model_version();
 
   // One user's walking data, drawn from a drifted simulator.
   har::HarDataGenerator user_gen(4242);
@@ -332,25 +354,25 @@ TEST_F(PipelineTest, AdaptPrototypeBlendsAndRebuildUndoesIt) {
 
   // rate = 1 replaces the prototype with the mean user embedding.
   ASSERT_TRUE(
-      learner.AdaptPrototype(label, user_rows.features(), 1.0).ok());
-  const Tensor embedded = learner.EmbedRaw(user_rows.features());
-  const Tensor& adapted = learner.classifier().prototype(label);
+      learner->AdaptPrototype(label, user_rows.features(), 1.0).ok());
+  const Tensor embedded = learner->EmbedRaw(user_rows.features());
+  const Tensor& adapted = learner->classifier().prototype(label);
   for (int64_t d = 0; d < adapted.dim(0); ++d) {
     float mean = 0.0f;
     for (int64_t r = 0; r < embedded.rows(); ++r) mean += embedded(r, d);
     mean /= static_cast<float>(embedded.rows());
     EXPECT_NEAR(adapted[d], mean, 1e-4f);
   }
-  EXPECT_GT(learner.model_version(), version_before);
+  EXPECT_GT(learner->model_version(), version_before);
   // The compiled plan was recaptured at the new version.
-  if (learner.inference_plan() != nullptr) {
-    EXPECT_EQ(learner.plan_version(), learner.model_version());
+  if (learner->inference_plan() != nullptr) {
+    EXPECT_EQ(learner->plan_version(), learner->model_version());
   }
 
   // Personalization is ephemeral: a prototype rebuild re-derives the
   // fleet-shared prototype from the support set.
-  learner.RebuildPrototypes();
-  const Tensor& restored = learner.classifier().prototype(label);
+  learner->RebuildPrototypes();
+  const Tensor& restored = learner->classifier().prototype(label);
   ASSERT_EQ(restored.dim(0), before.dim(0));
   for (int64_t d = 0; d < restored.dim(0); ++d) {
     EXPECT_NEAR(restored[d], before[d], 1e-5f);

@@ -82,7 +82,7 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   EXPECT_NEAR(x.grad()[0], 0.3f, 1e-6f);
 }
 
-// ---- LR schedulers ----
+// ---- LR schedule ----
 
 TEST(LrSchedulerTest, HalvingMatchesPaperSchedule) {
   ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
@@ -102,27 +102,6 @@ TEST(LrSchedulerTest, HalvingRespectsFloor) {
   optim::HalvingLr scheduler(&adam, 0.01f, 1e-4f);
   scheduler.OnEpochBegin(50);
   EXPECT_FLOAT_EQ(adam.lr(), 1e-4f);
-}
-
-TEST(LrSchedulerTest, StepDecay) {
-  ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Adam adam({x}, {.lr = 1.0f});
-  optim::StepLr scheduler(&adam, 1.0f, 10, 0.1f);
-  scheduler.OnEpochBegin(9);
-  EXPECT_FLOAT_EQ(adam.lr(), 1.0f);
-  scheduler.OnEpochBegin(10);
-  EXPECT_FLOAT_EQ(adam.lr(), 0.1f);
-  scheduler.OnEpochBegin(25);
-  EXPECT_NEAR(adam.lr(), 0.01f, 1e-8f);
-}
-
-TEST(LrSchedulerTest, ConstantNeverChanges) {
-  ag::Variable x = ag::Variable::Parameter(Tensor(Shape::Vector(1)));
-  optim::Adam adam({x}, {.lr = 0.5f});
-  optim::ConstantLr scheduler(&adam, 0.42f);
-  scheduler.OnEpochBegin(0);
-  scheduler.OnEpochBegin(100);
-  EXPECT_FLOAT_EQ(adam.lr(), 0.42f);
 }
 
 }  // namespace

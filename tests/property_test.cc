@@ -21,6 +21,7 @@
 #include "serialize/io.h"
 #include "serialize/quantize.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace {
@@ -275,26 +276,6 @@ TEST(NcmMetricTest, PrototypeItselfIsItsNearestClass) {
 
 // ------------------------------------------------------- Rollback sweep
 
-// Handcrafted artifact (random backbone, offset class clusters) so the
-// rollback sweep doesn't pay for cloud pre-training on every seed.
-core::CloudArtifact MakeRollbackArtifact(const core::PiloteConfig& config) {
-  Rng rng(505);
-  nn::MlpBackbone model(config.backbone, rng);
-  core::CloudArtifact artifact;
-  artifact.backbone_config = config.backbone;
-  artifact.model_payload = serialize::SerializeModuleToString(model);
-  const int64_t input_dim = config.backbone.input_dim;
-  artifact.scaler.Fit(Tensor::RandNormal(Shape::Matrix(64, input_dim), rng));
-  for (int label = 0; label < 4; ++label) {
-    Tensor exemplars =
-        Tensor::RandNormal(Shape::Matrix(8, input_dim), rng,
-                           static_cast<float>(2 * label), 0.25f);
-    artifact.support.SetClassExemplars(label,
-                                       artifact.scaler.Transform(exemplars));
-    artifact.old_classes.push_back(label);
-  }
-  return artifact;
-}
 
 data::Dataset ClassDataset(int label, int64_t input_dim, Rng& rng) {
   Tensor features = Tensor::RandNormal(Shape::Matrix(12, input_dim), rng,
@@ -314,7 +295,10 @@ TEST_P(RollbackScheduleTest, RandomFaultSchedulesNeverLeakPartialState) {
   fail::ScopedFailpoints scope;
   core::PiloteConfig config = core::PiloteConfig::Small();
   config.exemplars_per_class = 12;
-  core::CloudArtifact artifact = MakeRollbackArtifact(config);
+  // A handcrafted artifact, so the sweep does not pay for cloud
+  // pre-training on every seed.
+  core::CloudArtifact artifact =
+      testing::MakeTestArtifact(config.backbone, /*seed=*/505);
   Result<std::unique_ptr<core::EdgeLearner>> made =
       core::MakeEdgeLearner("pretrained", artifact, config);
   ASSERT_TRUE(made.ok()) << made.status().ToString();

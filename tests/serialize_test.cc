@@ -1,18 +1,28 @@
+// Tests of the on-disk and in-memory formats: tensor records, the module
+// frame, the cloud artifact file (its corruption matrix) and quantization.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_tracker.h"
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "core/artifact_io.h"
+#include "core/cloud.h"
 #include "nn/backbone.h"
 #include "serialize/io.h"
 #include "serialize/quantize.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace serialize {
@@ -24,6 +34,26 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+std::string EncodeU32(uint32_t value) {
+  return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+std::string EncodeU64(uint64_t value) {
+  return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// A 2-wide backbone without batch norm: its module frame and artifact are
+// a few hundred bytes, small enough to cut at every byte and flip every
+// bit of.
+nn::BackboneConfig TinyBackbone() {
+  nn::BackboneConfig backbone = nn::BackboneConfig::Small();
+  backbone.input_dim = 2;
+  backbone.hidden_dims = {2};
+  backbone.embedding_dim = 2;
+  backbone.use_batchnorm = false;
+  return backbone;
+}
+
 // ---------------------------------------------------------------- Tensor IO
 
 TEST(TensorIoTest, RoundTripPreservesShapeAndData) {
@@ -33,184 +63,38 @@ TEST(TensorIoTest, RoundTripPreservesShapeAndData) {
       Tensor::RandNormal(Shape::Vector(13), rng),
       Tensor(Shape::Matrix(1, 1), {42.0f}),
   };
-  const std::string path = TempPath("pilote_tensors_test.bin");
-  ASSERT_TRUE(SaveTensors(path, tensors).ok());
-  Result<std::vector<Tensor>> loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(AllClose((*loaded)[i], tensors[i], 0.0f, 0.0f));
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  for (const Tensor& tensor : tensors) {
+    ASSERT_TRUE(WriteTensor(stream, tensor).ok());
   }
-  std::remove(path.c_str());
-}
-
-TEST(TensorIoTest, MissingFileIsIoError) {
-  Result<std::vector<Tensor>> result =
-      LoadTensors("/nonexistent/dir/file.bin");
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-}
-
-TEST(TensorIoTest, CorruptedMagicIsDataLoss) {
-  const std::string path = TempPath("pilote_corrupt_test.bin");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "this is not a tensor file at all";
+  for (const Tensor& tensor : tensors) {
+    Result<Tensor> loaded = ReadTensor(stream);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(AllClose(*loaded, tensor, 0.0f, 0.0f));
   }
-  Result<std::vector<Tensor>> result = LoadTensors(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  std::remove(path.c_str());
 }
 
-TEST(TensorIoTest, TruncatedPayloadIsDataLoss) {
-  Rng rng(2);
-  const std::string path = TempPath("pilote_trunc_test.bin");
-  ASSERT_TRUE(
-      SaveTensors(path, {Tensor::RandNormal(Shape::Matrix(20, 20), rng)})
-          .ok());
-  // Chop the file in half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  Result<std::vector<Tensor>> result = LoadTensors(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------- Corruption matrix
-//
-// The v2 frame is [u32 magic][u32 version][u64 payload_size][u32 crc]
-// [payload]. The matrix drills the whole damage space: truncation at every
-// byte boundary, a flip of every single bit, wrong version words — all of
-// which must surface as a clean non-OK load, never garbage tensors. The
-// legacy v1 frame ([magic][1][body], no CRC) must keep loading.
-
-std::string ReadAllBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  EXPECT_TRUE(is.good()) << path;
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void WriteAllBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(os.good()) << path;
-}
-
-std::string EncodeU32(uint32_t value) {
-  return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-// A small saved tensor file every matrix test mutates.
-std::string SavedTensorBytes(const std::string& path) {
-  Rng rng(11);
-  Status saved =
-      SaveTensors(path, {Tensor::RandNormal(Shape::Matrix(2, 3), rng)});
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  return ReadAllBytes(path);
-}
-
-TEST(CorruptionMatrixTest, SaveIsByteDeterministicAndLeavesNoTempFile) {
-  const std::string path_a = TempPath("pilote_matrix_a.bin");
-  const std::string path_b = TempPath("pilote_matrix_b.bin");
-  const std::string a = SavedTensorBytes(path_a);
-  const std::string b = SavedTensorBytes(path_b);
-  EXPECT_EQ(a, b) << "identical tensors must serialize bit-identically";
-  EXPECT_FALSE(std::filesystem::exists(path_a + ".tmp"))
-      << "atomic save must not leave its temp file behind";
-  // Load -> save round-trips to the same bytes, so artifacts can be
-  // compared and deduplicated by hash.
-  Result<std::vector<Tensor>> loaded = LoadTensors(path_a);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(SaveTensors(path_b, *loaded).ok());
-  EXPECT_EQ(ReadAllBytes(path_b), a);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
-TEST(CorruptionMatrixTest, TruncationAtEveryByteBoundaryIsRejected) {
-  const std::string path = TempPath("pilote_matrix_trunc.bin");
-  const std::string bytes = SavedTensorBytes(path);
-  ASSERT_GT(bytes.size(), 20u);  // must cover header and payload cuts
-  for (size_t length = 0; length < bytes.size(); ++length) {
-    WriteAllBytes(path, bytes.substr(0, length));
-    Result<std::vector<Tensor>> result = LoadTensors(path);
-    EXPECT_FALSE(result.ok()) << "loaded a file truncated to " << length
-                              << " of " << bytes.size() << " bytes";
+TEST(TensorIoTest, ElementCountBeyondTheStreamIsDataLossBeforeAllocating) {
+  // [u32 rank][u64 dims...] followed by 16 bytes of data: neither a
+  // product that overflows u64 nor one larger than the 16 bytes present
+  // may reach the allocator.
+  const std::string data(16, '\0');
+  const std::string overflowing =
+      EncodeU32(2) + EncodeU64(1ULL << 32) + EncodeU64(1ULL << 32) + data;
+  const std::string oversized =
+      EncodeU32(2) + EncodeU64(1000) + EncodeU64(1000) + data;
+  for (const std::string& record : {overflowing, oversized}) {
+    std::istringstream stream(record, std::ios::binary);
+    alloc::ScopedTracking tracking;
+    alloc::AllocationScope scope;
+    Result<Tensor> loaded = ReadTensor(stream);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_LT(scope.bytes(), 4096) << loaded.status();
   }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionMatrixTest, EverySingleBitFlipIsRejected) {
-  const std::string path = TempPath("pilote_matrix_flip.bin");
-  const std::string bytes = SavedTensorBytes(path);
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mutated = bytes;
-      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      WriteAllBytes(path, mutated);
-      Result<std::vector<Tensor>> result = LoadTensors(path);
-      EXPECT_FALSE(result.ok())
-          << "bit " << bit << " of byte " << byte << " flipped undetected";
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionMatrixTest, UnknownVersionWordIsRejected) {
-  const std::string path = TempPath("pilote_matrix_version.bin");
-  const std::string bytes = SavedTensorBytes(path);
-  for (uint32_t version : {0u, 3u, 7u, 0xFFFFFFFFu}) {
-    std::string mutated =
-        bytes.substr(0, 4) + EncodeU32(version) + bytes.substr(8);
-    WriteAllBytes(path, mutated);
-    Result<std::vector<Tensor>> result = LoadTensors(path);
-    ASSERT_FALSE(result.ok()) << "version " << version;
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionMatrixTest, LegacyV1TensorFileStillLoads) {
-  const std::string path = TempPath("pilote_matrix_v1.bin");
-  Rng rng(12);
-  Tensor original = Tensor::RandNormal(Shape::Matrix(4, 5), rng);
-  ASSERT_TRUE(SaveTensors(path, {original}).ok());
-  const std::string v2 = ReadAllBytes(path);
-  // v2 header is magic(4) + version(4) + size(8) + crc(4); the payload
-  // after it is exactly the v1 body, so the legacy file is magic +
-  // version word 1 + body.
-  const std::string v1 = v2.substr(0, 4) + EncodeU32(1) + v2.substr(20);
-  WriteAllBytes(path, v1);
-  Result<std::vector<Tensor>> loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_TRUE(AllClose((*loaded)[0], original, 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- Module IO
-
-TEST(ModuleIoTest, FileRoundTripReproducesOutputs) {
-  Rng rng(3);
-  nn::MlpBackbone original(nn::BackboneConfig::Small(), rng);
-  nn::MlpBackbone restored(nn::BackboneConfig::Small(), rng);
-
-  const std::string path = TempPath("pilote_module_test.bin");
-  ASSERT_TRUE(SaveModule(path, original).ok());
-  ASSERT_TRUE(LoadModule(path, restored).ok());
-
-  Tensor x = Tensor::RandNormal(Shape::Matrix(4, 80), rng);
-  original.SetTraining(false);
-  restored.SetTraining(false);
-  Tensor a = original.Forward(ag::Variable::Constant(x)).value();
-  Tensor b = restored.Forward(ag::Variable::Constant(x)).value();
-  EXPECT_TRUE(AllClose(a, b, 0.0f, 0.0f));
-  std::remove(path.c_str());
-}
 
 TEST(ModuleIoTest, InMemoryRoundTrip) {
   Rng rng(4);
@@ -235,6 +119,206 @@ TEST(ModuleIoTest, StructureMismatchIsDataLoss) {
   Status status = DeserializeModuleFromString(payload, other);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+}
+
+TEST(ModuleIoTest, DamagedFrameIsDataLoss) {
+  // The frame is [u32 magic][u32 version][u64 payload_size][u32 crc]
+  // [payload]: every truncation, a version word other than 2 and a size
+  // word beyond the bytes present are all rejected.
+  Rng rng(6);
+  nn::MlpBackbone module(TinyBackbone(), rng);
+  const std::string frame = SerializeModuleToString(module);
+  ASSERT_TRUE(DeserializeModuleFromString(frame, module).ok());
+  for (size_t length = 0; length < frame.size(); ++length) {
+    EXPECT_EQ(DeserializeModuleFromString(frame.substr(0, length), module)
+                  .code(),
+              StatusCode::kDataLoss)
+        << "accepted a frame cut to " << length << " bytes";
+  }
+  const std::string version1 =
+      frame.substr(0, 4) + EncodeU32(1) + frame.substr(8);
+  EXPECT_EQ(DeserializeModuleFromString(version1, module).code(),
+            StatusCode::kDataLoss);
+
+  const std::string huge_size =
+      frame.substr(0, 8) + EncodeU64(1ULL << 30) + frame.substr(16);
+  alloc::ScopedTracking tracking;
+  alloc::AllocationScope scope;
+  EXPECT_EQ(DeserializeModuleFromString(huge_size, module).code(),
+            StatusCode::kDataLoss);
+  EXPECT_LT(scope.bytes(), static_cast<int64_t>(4 * frame.size()));
+}
+
+// ---------------------------------------------------------- Corruption matrix
+//
+// The artifact is [u32 magic][u32 version] then five sections, each
+// [u32 tag][u64 size][u32 crc][body]. The matrix drills the whole damage
+// space on a tiny artifact file: truncation at every byte boundary, a flip
+// of every single bit, wrong version words. All of them must surface as a
+// clean non-OK load, never a garbage artifact, and never an allocation
+// much larger than the file.
+
+std::string ReadAllBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is.good()) << path;
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void WriteAllBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(os.good()) << path;
+}
+
+// Saves the tiny artifact every matrix test mutates and returns its bytes.
+std::string SavedArtifactBytes(const std::string& path) {
+  Status saved = core::SaveArtifact(
+      path, testing::MakeTestArtifact(TinyBackbone(), /*seed=*/11,
+                                      /*num_classes=*/2,
+                                      /*exemplars_per_class=*/2));
+  EXPECT_TRUE(saved.ok()) << saved.ToString();
+  return ReadAllBytes(path);
+}
+
+TEST(CorruptionMatrixTest, SaveIsByteDeterministicAndLeavesNoTempFile) {
+  const std::string path_a = TempPath("pilote_matrix_a.bin");
+  const std::string path_b = TempPath("pilote_matrix_b.bin");
+  const std::string a = SavedArtifactBytes(path_a);
+  const std::string b = SavedArtifactBytes(path_b);
+  EXPECT_EQ(a, b) << "identical artifacts must serialize bit-identically";
+  EXPECT_FALSE(std::filesystem::exists(path_a + ".tmp"))
+      << "atomic save must not leave its temp file behind";
+  // Load -> save round-trips to the same bytes, so artifacts can be
+  // compared and deduplicated by hash.
+  Result<core::CloudArtifact> loaded = core::LoadArtifact(path_a);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(core::SaveArtifact(path_b, *loaded).ok());
+  EXPECT_EQ(ReadAllBytes(path_b), a);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
+TEST(CorruptionMatrixTest, TruncationAtEveryByteBoundaryIsRejected) {
+  const std::string path = TempPath("pilote_matrix_trunc.bin");
+  const std::string bytes = SavedArtifactBytes(path);
+  ASSERT_GT(bytes.size(), 88u);  // must cover every section header
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    WriteAllBytes(path, bytes.substr(0, length));
+    Result<core::CloudArtifact> result = core::LoadArtifact(path);
+    EXPECT_FALSE(result.ok()) << "loaded a file truncated to " << length
+                              << " of " << bytes.size() << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionMatrixTest, EverySingleBitFlipIsRejected) {
+  const std::string path = TempPath("pilote_matrix_flip.bin");
+  const std::string bytes = SavedArtifactBytes(path);
+  alloc::ScopedTracking tracking;
+  int64_t most_allocated = 0;
+  for (size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = bytes;
+      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+      WriteAllBytes(path, mutated);
+      alloc::AllocationScope scope;
+      Result<core::CloudArtifact> result = core::LoadArtifact(path);
+      most_allocated = std::max(most_allocated, scope.bytes());
+      EXPECT_FALSE(result.ok())
+          << "bit " << bit << " of byte " << byte << " flipped undetected";
+    }
+  }
+  // A flipped size word must not make the loader allocate what the file
+  // does not hold. The slack covers the file stream's own buffer (8 KiB in
+  // libstdc++); a 416-byte artifact peaks at about 8.8 KB.
+  constexpr int64_t kStreamSlack = 16 * 1024;
+  EXPECT_LE(most_allocated,
+            4 * static_cast<int64_t>(bytes.size()) + kStreamSlack)
+      << "a " << bytes.size() << "-byte artifact";
+  std::remove(path.c_str());
+}
+
+// Replaces the body of the section tagged `tag` in saved artifact `bytes`
+// and recomputes its CRC, so only the structure of that body is wrong.
+std::string WithSectionBody(const std::string& bytes, uint32_t tag,
+                            const std::string& body) {
+  size_t at = 8;  // magic + version word
+  while (at + 16 <= bytes.size()) {
+    uint32_t section_tag = 0;
+    uint64_t size = 0;
+    std::memcpy(&section_tag, bytes.data() + at, sizeof(section_tag));
+    std::memcpy(&size, bytes.data() + at + 4, sizeof(size));
+    if (section_tag == tag) {
+      return bytes.substr(0, at + 4) + EncodeU64(body.size()) +
+             EncodeU32(Crc32(body)) + body +
+             bytes.substr(at + 16 + static_cast<size_t>(size));
+    }
+    at += 16 + static_cast<size_t>(size);
+  }
+  ADD_FAILURE() << "no section tagged " << tag;
+  return bytes;
+}
+
+std::string TensorRecords(const std::vector<Tensor>& tensors) {
+  std::ostringstream os(std::ios::binary);
+  for (const Tensor& tensor : tensors) {
+    EXPECT_TRUE(WriteTensor(os, tensor).ok());
+  }
+  return os.str();
+}
+
+std::string SupportBody(const std::vector<Tensor>& classes) {
+  std::string body = EncodeU64(classes.size());
+  for (size_t label = 0; label < classes.size(); ++label) {
+    body += EncodeU32(static_cast<uint32_t>(label)) +
+            TensorRecords({classes[label]});
+  }
+  return body;
+}
+
+TEST(CorruptionMatrixTest, MisshapedSectionsWithValidChecksumsAreDataLoss) {
+  // A producer bug rather than a flipped bit: every CRC holds, but the
+  // scaler or support set has a shape the in-memory types CHECK.
+  constexpr uint32_t kScalerTag = 0x304C4353;   // "SCL0"
+  constexpr uint32_t kSupportTag = 0x30505553;  // "SUP0"
+  const std::string path = TempPath("pilote_matrix_shapes.bin");
+  const std::string bytes = SavedArtifactBytes(path);
+  const Tensor matrix(Shape::Matrix(1, 2), 1.0f);
+  const std::vector<std::string> damaged = {
+      WithSectionBody(bytes, kScalerTag, TensorRecords({matrix, matrix})),
+      WithSectionBody(bytes, kScalerTag,
+                      TensorRecords({Tensor(Shape::Vector(2), 0.0f),
+                                     Tensor(Shape::Vector(3), 1.0f)})),
+      WithSectionBody(bytes, kSupportTag,
+                      SupportBody({Tensor(Shape::Vector(2), 1.0f)})),
+      WithSectionBody(bytes, kSupportTag,
+                      SupportBody({Tensor(Shape::Matrix(0, 2))})),
+      WithSectionBody(bytes, kSupportTag,
+                      SupportBody({matrix, Tensor(Shape::Matrix(1, 3))})),
+  };
+  for (size_t i = 0; i < damaged.size(); ++i) {
+    WriteAllBytes(path, damaged[i]);
+    Result<core::CloudArtifact> result = core::LoadArtifact(path);
+    ASSERT_FALSE(result.ok()) << "case " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << "case " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionMatrixTest, UnknownVersionWordIsRejected) {
+  const std::string path = TempPath("pilote_matrix_version.bin");
+  const std::string bytes = SavedArtifactBytes(path);
+  for (uint32_t version : {0u, 1u, 3u, 7u, 0xFFFFFFFFu}) {
+    std::string mutated =
+        bytes.substr(0, 4) + EncodeU32(version) + bytes.substr(8);
+    WriteAllBytes(path, mutated);
+    Result<core::CloudArtifact> result = core::LoadArtifact(path);
+    ASSERT_FALSE(result.ok()) << "version " << version;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- Half floats

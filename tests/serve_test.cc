@@ -22,43 +22,18 @@
 #include "common/rng.h"
 #include "core/cloud.h"
 #include "core/edge_learner.h"
-#include "nn/backbone.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
-#include "serialize/io.h"
 #include "serve/session_manager.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace serve {
 namespace {
 
+using pilote::testing::MakeTestArtifact;
 using std::chrono::microseconds;
-
-// Handcrafts a valid CloudArtifact without running cloud pre-training:
-// a randomly initialized backbone (serialized, as shipped), a scaler fit
-// on random data, and per-class exemplar clusters offset by label so the
-// NCM geometry is non-degenerate. Keeps the serving tests fast enough to
-// run under TSan.
-core::CloudArtifact MakeTestArtifact(const core::PiloteConfig& config,
-                                     int num_classes = 4) {
-  Rng rng(4242);
-  nn::MlpBackbone model(config.backbone, rng);
-  core::CloudArtifact artifact;
-  artifact.backbone_config = config.backbone;
-  artifact.model_payload = serialize::SerializeModuleToString(model);
-  const int64_t input_dim = config.backbone.input_dim;
-  artifact.scaler.Fit(Tensor::RandNormal(Shape::Matrix(64, input_dim), rng));
-  for (int label = 0; label < num_classes; ++label) {
-    Tensor exemplars =
-        Tensor::RandNormal(Shape::Matrix(8, input_dim), rng,
-                           /*mean=*/static_cast<float>(2 * label), 0.25f);
-    artifact.support.SetClassExemplars(label,
-                                       artifact.scaler.Transform(exemplars));
-    artifact.old_classes.push_back(label);
-  }
-  return artifact;
-}
 
 core::PiloteConfig TestConfig() { return core::PiloteConfig::Small(); }
 
@@ -66,7 +41,8 @@ std::shared_ptr<LearnerHandle> MakeHandle(
     const core::PiloteConfig& config,
     const std::string& strategy = "pretrained") {
   Result<std::shared_ptr<LearnerHandle>> handle =
-      LearnerHandle::Create(strategy, MakeTestArtifact(config), config);
+      LearnerHandle::Create(strategy, MakeTestArtifact(config.backbone),
+                            config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
   return handle.value();
 }
@@ -233,7 +209,7 @@ TEST(StreamingOptionsTest, ValidateRejectsOutOfRangeValues) {
 
 TEST(CoreErrorPathTest, FactoryRejectsCorruptArtifactPayload) {
   core::PiloteConfig config = TestConfig();
-  core::CloudArtifact artifact = MakeTestArtifact(config);
+  core::CloudArtifact artifact = MakeTestArtifact(config.backbone);
   artifact.model_payload = "definitely not a serialized module";
   Result<std::unique_ptr<core::EdgeLearner>> made =
       core::MakeEdgeLearner("pilote", artifact, config);
@@ -242,7 +218,7 @@ TEST(CoreErrorPathTest, FactoryRejectsCorruptArtifactPayload) {
 
 TEST(CoreErrorPathTest, FactoryRejectsTruncatedArtifactPayload) {
   core::PiloteConfig config = TestConfig();
-  core::CloudArtifact artifact = MakeTestArtifact(config);
+  core::CloudArtifact artifact = MakeTestArtifact(config.backbone);
   artifact.model_payload.resize(artifact.model_payload.size() / 2);
   Result<std::unique_ptr<core::EdgeLearner>> made =
       core::MakeEdgeLearner("pretrained", artifact, config);
@@ -251,12 +227,33 @@ TEST(CoreErrorPathTest, FactoryRejectsTruncatedArtifactPayload) {
 
 TEST(CoreErrorPathTest, FactoryRejectsEmptySupportSet) {
   core::PiloteConfig config = TestConfig();
-  core::CloudArtifact artifact = MakeTestArtifact(config);
+  core::CloudArtifact artifact = MakeTestArtifact(config.backbone);
   artifact.support = core::SupportSet();
   Result<std::unique_ptr<core::EdgeLearner>> made =
       core::MakeEdgeLearner("pilote", artifact, config);
   ASSERT_FALSE(made.ok());
   EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CoreErrorPathTest, FactoryRejectsArtifactThatDisagreesWithTheConfig) {
+  // Each artifact below would pass every section CRC. A config section
+  // naming a huge hidden layer must not size an allocation, and a scaler
+  // of the wrong width must not reach plan capture's CHECK.
+  core::PiloteConfig config = TestConfig();
+  Rng rng(8);
+  core::CloudArtifact huge_layer = MakeTestArtifact(config.backbone);
+  huge_layer.backbone_config.hidden_dims = {1 << 20, 1 << 20};
+  core::CloudArtifact wide_scaler = MakeTestArtifact(config.backbone);
+  wide_scaler.scaler.Fit(Tensor::RandNormal(Shape::Matrix(16, 3), rng));
+  alloc::ScopedTracking tracking;
+  for (const core::CloudArtifact* artifact : {&huge_layer, &wide_scaler}) {
+    alloc::AllocationScope scope;
+    Result<std::unique_ptr<core::EdgeLearner>> made =
+        core::MakeEdgeLearner("pretrained", *artifact, config);
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_LT(scope.bytes(), 64 * 1024) << made.status();
+  }
 }
 
 TEST(CoreErrorPathTest, PretrainerRejectsEmptyCorpus) {

@@ -24,15 +24,14 @@
 #include "common/rng.h"
 #include "core/cloud.h"
 #include "data/dataset.h"
-#include "nn/backbone.h"
 #include "obs/exemplar.h"
 #include "obs/export.h"
 #include "obs/exporter.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
-#include "serialize/io.h"
 #include "serve/session_manager.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace pilote {
 namespace obs {
@@ -264,30 +263,13 @@ TEST_F(TelemetryTest, GlobalTelemetryIsExclusiveAndRestartable) {
 
 // ------------------------------------------------- serving integration
 
-core::CloudArtifact MakeTestArtifact(const core::PiloteConfig& config) {
-  Rng rng(4242);
-  nn::MlpBackbone model(config.backbone, rng);
-  core::CloudArtifact artifact;
-  artifact.backbone_config = config.backbone;
-  artifact.model_payload = serialize::SerializeModuleToString(model);
-  const int64_t input_dim = config.backbone.input_dim;
-  artifact.scaler.Fit(Tensor::RandNormal(Shape::Matrix(64, input_dim), rng));
-  for (int label = 0; label < 4; ++label) {
-    Tensor exemplars =
-        Tensor::RandNormal(Shape::Matrix(8, input_dim), rng,
-                           /*mean=*/static_cast<float>(2 * label), 0.25f);
-    artifact.support.SetClassExemplars(label,
-                                       artifact.scaler.Transform(exemplars));
-    artifact.old_classes.push_back(label);
-  }
-  return artifact;
-}
+using pilote::testing::MakeTestArtifact;
 
 std::shared_ptr<serve::LearnerHandle> MakeHandle(
     const core::PiloteConfig& config) {
   Result<std::shared_ptr<serve::LearnerHandle>> handle =
-      serve::LearnerHandle::Create("pretrained", MakeTestArtifact(config),
-                                   config);
+      serve::LearnerHandle::Create(
+          "pretrained", MakeTestArtifact(config.backbone), config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
   return handle.value();
 }
