@@ -92,7 +92,7 @@ Variable Sqrt(const Variable& a, float eps) {
     for (int64_t i = 0; i < g.numel(); ++i) {
       g[i] = node.grad[i] * 0.5f / (*saved)[i];
     }
-    PILOTE_CHECK_NUMERICS("Sqrt backward", g);
+    PILOTE_GUARD_NUMERICS("Sqrt backward", g);
     node.parents[0]->AccumulateGrad(g);
   });
 }
@@ -231,7 +231,7 @@ BatchNormOutput BatchNormTraining(const Variable& x, const Variable& gamma,
   for (int64_t c = 0; c < d; ++c) {
     inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
   }
-  PILOTE_CHECK_NUMERICS("BatchNormTraining inv_std", inv_std);
+  PILOTE_GUARD_NUMERICS("BatchNormTraining inv_std", inv_std);
   // x_hat = (x - mean) * inv_std
   Tensor x_hat = MulRowVector(SubRowVector(xv, mean), inv_std);
   Tensor y = pilote::AddRowVector(
@@ -267,7 +267,7 @@ BatchNormOutput BatchNormTraining(const Variable& x, const Variable& gamma,
                         pxh[c] * dgamma[c]);
             }
           }
-          PILOTE_CHECK_NUMERICS("BatchNormTraining dx", dx);
+          PILOTE_GUARD_NUMERICS("BatchNormTraining dx", dx);
           node.parents[0]->AccumulateGrad(dx);
         }
         if (node.parents[1]->requires_grad) {
@@ -298,7 +298,7 @@ Variable BatchNormInference(const Variable& x, const Variable& gamma,
   for (int64_t c = 0; c < d; ++c) {
     inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
   }
-  PILOTE_CHECK_NUMERICS("BatchNormInference inv_std", inv_std);
+  PILOTE_GUARD_NUMERICS("BatchNormInference inv_std", inv_std);
   Tensor x_hat = MulRowVector(SubRowVector(xv, mean), inv_std);
   Tensor y = pilote::AddRowVector(
       pilote::MulRowVector(x_hat, gamma.value()), beta.value());

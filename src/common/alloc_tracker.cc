@@ -28,21 +28,6 @@ inline void NoteAllocation(std::size_t size) {
   }
 }
 
-// Applies the PILOTE_ALLOC_STATS environment opt-in during static
-// initialization. Allocations before this runs are simply not counted
-// (the gate is constant-initialized to false), which is fine: the
-// contract covers steady-state measurement, not process startup.
-struct EnvInit {
-  EnvInit() {
-    const char* env = std::getenv("PILOTE_ALLOC_STATS");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      tracking_enabled.store(true, std::memory_order_relaxed);
-    }
-  }
-};
-EnvInit env_init;
-
 void* AllocateOrThrow(std::size_t size) {
   NoteAllocation(size);
   if (size == 0) size = 1;

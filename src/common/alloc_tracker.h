@@ -19,10 +19,10 @@ namespace alloc {
 // registry. No locks, no heap use, no syscalls inside the hook, so it is
 // safe from static initialization onward and under every sanitizer.
 //
-// Enablement mirrors obs/metrics.h: the PILOTE_ALLOC_STATS environment
-// variable (any value but "0") arms tracking for the process, and
-// SetTrackingEnabled / ScopedTracking arm it programmatically (ProfileEdge
-// and the allocation-pin tests use the scoped form).
+// Enablement mirrors obs/metrics.h: tracking is off until
+// SetTrackingEnabled / ScopedTracking arm it programmatically (ProfileEdge,
+// bench_serving, bench_alloc_stats, perfbench and the allocation-pin tests
+// use the scoped form).
 //
 // Measurement is per-thread by design: AllocationScope captures the
 // calling thread's counters and reports the delta, so a worker measuring
@@ -53,13 +53,12 @@ ThreadCounters& Counters();
 
 }  // namespace internal
 
-// True when allocation tracking is armed (env or programmatic).
+// True when allocation tracking is armed.
 inline bool TrackingEnabled() {
   return internal::tracking_enabled.load(std::memory_order_relaxed);
 }
 
-// Programmatic arm/disarm. The PILOTE_ALLOC_STATS environment opt-in is
-// applied once at static-initialization time and can be revoked here.
+// Programmatic arm/disarm.
 void SetTrackingEnabled(bool enabled);
 
 // Forces tracking on for a scope and restores the previous state.

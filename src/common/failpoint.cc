@@ -1,129 +1,16 @@
 #include "common/failpoint.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace pilote {
 namespace fail {
 namespace {
 
-// Maps the snake-case spelling used in arming specs to a StatusCode.
-bool ParseStatusCode(const std::string& text, StatusCode* out) {
-  if (text == "invalid_argument") {
-    *out = StatusCode::kInvalidArgument;
-  } else if (text == "not_found") {
-    *out = StatusCode::kNotFound;
-  } else if (text == "already_exists") {
-    *out = StatusCode::kAlreadyExists;
-  } else if (text == "failed_precondition") {
-    *out = StatusCode::kFailedPrecondition;
-  } else if (text == "out_of_range") {
-    *out = StatusCode::kOutOfRange;
-  } else if (text == "unimplemented") {
-    *out = StatusCode::kUnimplemented;
-  } else if (text == "internal") {
-    *out = StatusCode::kInternal;
-  } else if (text == "data_loss") {
-    *out = StatusCode::kDataLoss;
-  } else if (text == "resource_exhausted") {
-    *out = StatusCode::kResourceExhausted;
-  } else if (text == "io_error") {
-    *out = StatusCode::kIoError;
-  } else if (text == "unavailable") {
-    *out = StatusCode::kUnavailable;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::vector<std::string> Split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find(sep, start);
-    if (end == std::string::npos) end = text.size();
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
-}
-
-// "once[:code]" / "always[:code]" / "nth:N[:code]" / "prob:P:seed[:code]".
-Status ParseTrigger(const std::string& name, const std::string& text,
-                    FailpointSpec* out) {
-  std::vector<std::string> parts = Split(text, ':');
-  const std::string& kind = parts[0];
-  FailpointSpec spec;
-  size_t code_index = 1;
-  if (kind == "once") {
-    spec.trigger = Trigger::kOnce;
-  } else if (kind == "always") {
-    spec.trigger = Trigger::kAlways;
-  } else if (kind == "nth") {
-    spec.trigger = Trigger::kEveryNth;
-    if (parts.size() < 2 || !ParseInt64(parts[1], &spec.nth)) {
-      return Status::InvalidArgument("failpoint '" + name +
-                                     "': nth trigger needs a count");
-    }
-    code_index = 2;
-  } else if (kind == "prob") {
-    spec.trigger = Trigger::kProbability;
-    int64_t seed = 0;
-    if (parts.size() < 3 || !ParseDouble(parts[1], &spec.probability) ||
-        !ParseInt64(parts[2], &seed)) {
-      return Status::InvalidArgument(
-          "failpoint '" + name + "': prob trigger needs <probability>:<seed>");
-    }
-    spec.seed = static_cast<uint64_t>(seed);
-    code_index = 3;
-  } else {
-    return Status::InvalidArgument("failpoint '" + name +
-                                   "': unknown trigger '" + kind + "'");
-  }
-  if (parts.size() > code_index + 1) {
-    return Status::InvalidArgument("failpoint '" + name +
-                                   "': trailing fields in '" + text + "'");
-  }
-  if (parts.size() == code_index + 1 &&
-      !ParseStatusCode(parts[code_index], &spec.code)) {
-    return Status::InvalidArgument("failpoint '" + name +
-                                   "': unknown status code '" +
-                                   parts[code_index] + "'");
-  }
-  *out = spec;
-  return Status::Ok();
-}
-
 Status ValidateSpec(const std::string& name, const FailpointSpec& spec) {
   if (spec.code == StatusCode::kOk) {
     return Status::InvalidArgument("failpoint '" + name +
                                    "': injected code must not be kOk");
-  }
-  if (spec.trigger == Trigger::kEveryNth && spec.nth < 1) {
-    return Status::InvalidArgument("failpoint '" + name +
-                                   "': nth must be >= 1");
   }
   if (spec.trigger == Trigger::kProbability &&
       (spec.probability < 0.0 || spec.probability > 1.0)) {
@@ -134,21 +21,6 @@ Status ValidateSpec(const std::string& name, const FailpointSpec& spec) {
 }
 
 }  // namespace
-
-namespace internal {
-
-// hotpath-ok: one-time environment parse, first failpoint check only
-bool InitFromEnvironment() {
-  const char* env = std::getenv("PILOTE_FAILPOINTS");
-  if (env == nullptr || env[0] == '\0') return false;
-  Status status = FailpointRegistry::Global().ArmFromString(env);
-  if (!status.ok()) {
-    PILOTE_LOG(Warning) << "PILOTE_FAILPOINTS: " << status.ToString();
-  }
-  return true;
-}
-
-}  // namespace internal
 
 void SetEnabled(bool enabled) {
   internal::runtime_enabled.store(enabled, std::memory_order_relaxed);
@@ -163,16 +35,12 @@ Status Failpoint::Check() {
   if (!armed_.load(std::memory_order_relaxed) || exhausted_) {
     return Status::Ok();
   }
-  ++armed_hits_;
   switch (spec_.trigger) {
     case Trigger::kAlways:
       return Fire(fires_);
     case Trigger::kOnce:
       exhausted_ = true;
       return Fire(0);
-    case Trigger::kEveryNth:
-      if (armed_hits_ % spec_.nth == 0) return Fire(fires_);
-      return Status::Ok();
     case Trigger::kProbability:
       if (rng_.Bernoulli(spec_.probability)) return Fire(fires_);
       return Status::Ok();
@@ -192,7 +60,6 @@ void Failpoint::Arm(const FailpointSpec& spec) {
   MutexLock lock(mutex_);
   spec_ = spec;
   exhausted_ = false;
-  armed_hits_ = 0;
   rng_.Reseed(spec.seed);
   armed_.store(true, std::memory_order_relaxed);
 }
@@ -244,23 +111,6 @@ Status FailpointRegistry::Arm(const std::string& name,
   return Status::Ok();
 }
 
-Status FailpointRegistry::ArmFromString(const std::string& config) {
-  if (config == "1") return Status::Ok();  // enable-only, nothing to arm
-  for (const std::string& entry : Split(config, ';')) {
-    if (entry.empty()) continue;
-    size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("failpoint config entry '" + entry +
-                                     "' is not <name>=<trigger>");
-    }
-    std::string name = entry.substr(0, eq);
-    FailpointSpec spec;
-    PILOTE_RETURN_IF_ERROR(ParseTrigger(name, entry.substr(eq + 1), &spec));
-    PILOTE_RETURN_IF_ERROR(Arm(name, spec));
-  }
-  return Status::Ok();
-}
-
 void FailpointRegistry::Disarm(const std::string& name) {
   Failpoint* point = nullptr;
   {
@@ -301,21 +151,6 @@ std::vector<FailpointStats> FailpointRegistry::Stats() const {
   stats.reserve(points.size());
   for (const Failpoint* point : points) stats.push_back(point->Stats());
   return stats;
-}
-
-std::string FailpointRegistry::StatsJson() const {
-  std::vector<FailpointStats> stats = Stats();
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const FailpointStats& s : stats) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << s.name << "\":{\"armed\":" << (s.armed ? "true" : "false")
-       << ",\"hits\":" << s.hits << ",\"fires\":" << s.fires << "}";
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace fail

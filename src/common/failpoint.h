@@ -24,56 +24,41 @@ namespace fail {
 // In a normal process the macro costs one relaxed atomic load and a
 // predictable branch (the same disabled-cost contract as obs::Enabled()
 // and common/numerics_guard.h): nothing is registered, no Status is
-// constructed. Test code arms failpoints by name — fire once, fire every
-// Nth hit, or fire with a probability under a seeded RNG — and the site
+// constructed. Test code arms failpoints by name — fire once, fire on every
+// hit, or fire with a probability under a seeded RNG — and the site
 // then returns the configured non-OK Status, exercising the error path
 // exactly where a real fault (torn write, ENOSPC, transient learner
 // unavailability) would surface.
 //
-// Enabling: set the PILOTE_FAILPOINTS environment variable (either "1"
-// for registration-only mode, or an arming spec — see ArmFromString), or
-// call SetEnabled(true) / use ScopedFailpoints in tests. Sites register
-// lazily on first execution while enabled, so a chaos suite that runs one
-// clean warm-up cycle observes every failpoint on that cycle via
-// FailpointRegistry::Names() and can iterate them exhaustively.
+// Enabling: SetEnabled(true), or ScopedFailpoints in tests; no process
+// switch arms a failpoint. Sites register lazily on first execution while
+// enabled, so a chaos suite that runs one clean warm-up cycle observes
+// every failpoint on that cycle via FailpointRegistry::Names() and can
+// iterate them exhaustively.
 
 namespace internal {
 
 inline std::atomic<bool> runtime_enabled{false};
 
-// Reads PILOTE_FAILPOINTS once; a non-empty value enables the subsystem
-// and any "name=spec" entries in it are armed (parse errors are logged
-// and skipped).
-bool InitFromEnvironment();
-
-inline bool EnvironmentEnabled() {
-  static const bool enabled = InitFromEnvironment();
-  return enabled;
-}
-
 }  // namespace internal
 
-// Runtime opt-in/out (the environment opt-in cannot be revoked).
+// Runtime opt-in/out; the one switch behind Enabled().
 void SetEnabled(bool enabled);
 
 inline bool Enabled() {
-  return internal::EnvironmentEnabled() ||
-         internal::runtime_enabled.load(std::memory_order_relaxed);
+  return internal::runtime_enabled.load(std::memory_order_relaxed);
 }
 
 // When an armed failpoint fires.
 enum class Trigger {
   kAlways,       // every hit
   kOnce,         // the first hit after arming, then never again
-  kEveryNth,     // hits n, 2n, 3n, ... after arming
   kProbability,  // each hit independently with probability p (seeded RNG)
 };
 
 // Test-side configuration of one failpoint.
 struct FailpointSpec {
   Trigger trigger = Trigger::kOnce;
-  // kEveryNth: fire when the post-arm hit count is a multiple of nth.
-  int64_t nth = 1;
   // kProbability: per-hit fire probability in [0, 1] and the RNG seed that
   // makes the schedule reproducible.
   double probability = 1.0;
@@ -91,14 +76,6 @@ struct FailpointSpec {
   static FailpointSpec Always(StatusCode code = StatusCode::kIoError) {
     FailpointSpec spec;
     spec.trigger = Trigger::kAlways;
-    spec.code = code;
-    return spec;
-  }
-  static FailpointSpec EveryNth(int64_t nth,
-                                StatusCode code = StatusCode::kIoError) {
-    FailpointSpec spec;
-    spec.trigger = Trigger::kEveryNth;
-    spec.nth = nth;
     spec.code = code;
     return spec;
   }
@@ -152,7 +129,6 @@ class Failpoint {
   mutable Mutex mutex_;
   FailpointSpec spec_ PILOTE_GUARDED_BY(mutex_);
   bool exhausted_ PILOTE_GUARDED_BY(mutex_) = false;  // kOnce already fired
-  int64_t armed_hits_ PILOTE_GUARDED_BY(mutex_) = 0;
   int64_t fires_ PILOTE_GUARDED_BY(mutex_) = 0;
   Rng rng_ PILOTE_GUARDED_BY(mutex_){0};
 };
@@ -169,21 +145,10 @@ class FailpointRegistry {
   Failpoint& Register(const char* name) PILOTE_EXCLUDES(mutex_);
 
   // Test path: arms `name` (registering it first if needed).
-  // kInvalidArgument for a spec with code == kOk, nth < 1, or probability
-  // outside [0, 1].
+  // kInvalidArgument for a spec with code == kOk or a probability outside
+  // [0, 1].
   Status Arm(const std::string& name, const FailpointSpec& spec)
       PILOTE_EXCLUDES(mutex_);
-
-  // Parses and arms a ";"-separated spec list:
-  //   "<name>=<trigger>[;<name>=<trigger>...]"
-  // with <trigger> one of
-  //   once[:<code>]  always[:<code>]  nth:<N>[:<code>]  prob:<P>:<seed>[:<code>]
-  // and <code> a StatusCode name in snake case (io_error, data_loss,
-  // unavailable, internal, resource_exhausted, ...; default io_error).
-  // The literal "1" is accepted as an empty list (enable-only, the env
-  // convention). Returns kInvalidArgument on the first malformed entry;
-  // entries before it stay armed.
-  Status ArmFromString(const std::string& config) PILOTE_EXCLUDES(mutex_);
 
   // Disarming an unknown name is a no-op.
   void Disarm(const std::string& name) PILOTE_EXCLUDES(mutex_);
@@ -194,11 +159,9 @@ class FailpointRegistry {
   // paths cannot silently go untested.
   std::vector<std::string> Names() const PILOTE_EXCLUDES(mutex_);
 
+  // Sorted by name; obs::CaptureSnapshot merges these into the metrics
+  // snapshot, whose "failpoints" object is the chaos run's fault record.
   std::vector<FailpointStats> Stats() const PILOTE_EXCLUDES(mutex_);
-
-  // {"<name>":{"armed":bool,"hits":N,"fires":M},...} sorted by name — the
-  // fault/recovery record CI uploads next to the chaos run.
-  std::string StatsJson() const PILOTE_EXCLUDES(mutex_);
 
  private:
   FailpointRegistry() = default;

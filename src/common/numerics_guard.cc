@@ -8,14 +8,6 @@ namespace pilote {
 namespace numerics {
 namespace internal {
 
-bool InitFromEnvironment() {
-  const char* value = std::getenv("PILOTE_CHECK_NUMERICS");
-  const bool enabled =
-      value != nullptr && value[0] != '\0' && value[0] != '0';
-  if (enabled) runtime_enabled.store(true, std::memory_order_relaxed);
-  return enabled;
-}
-
 void FailNonFinite(const char* op, const std::string& shape, int64_t index,
                    float value, const char* file, int line) {
   ::pilote::internal::CheckFailure(file, line, "numerics guard")

@@ -13,7 +13,7 @@ namespace numerics {
 //
 // Checks are inserted where numerical corruption is born (division, exp,
 // sqrt, matrix products, loss forward/backward, optimizer steps) via
-// PILOTE_CHECK_NUMERICS below. On the first non-finite value the process
+// PILOTE_GUARD_NUMERICS below. On the first non-finite value the process
 // aborts with the producing op, the tensor shape, and the offending
 // element, so a NaN in e.g. the joint distillation loss is attributed to
 // the op that created it instead of surfacing epochs later as a corrupted
@@ -22,23 +22,13 @@ namespace numerics {
 // Two activation modes:
 //   - Compile-time: -DPILOTE_DEBUG_NUMERICS=ON bakes the checks in
 //     unconditionally (the debug-numerics build preset).
-//   - Runtime: SetEnabled(true) (or the PILOTE_CHECK_NUMERICS=1 environment
-//     variable, read once at startup) flips checks on in any build. Off by
+//   - Runtime: SetEnabled(true) flips checks on in any build. Off by
 //     default; the disabled cost is one relaxed atomic load and a
 //     predictable branch per guarded op.
 
 namespace internal {
 
 inline std::atomic<bool> runtime_enabled{false};
-
-// Reads PILOTE_CHECK_NUMERICS from the environment once and seeds
-// runtime_enabled; returns the seeded value.
-bool InitFromEnvironment();
-
-inline bool EnvironmentEnabled() {
-  static const bool enabled = InitFromEnvironment();
-  return enabled;
-}
 
 // Aborts via the PILOTE_CHECK failure machinery with a report naming the
 // producing op, the tensor shape, and the first corrupted element.
@@ -56,8 +46,7 @@ inline bool Enabled() {
 #ifdef PILOTE_DEBUG_NUMERICS
   return true;
 #else
-  return internal::EnvironmentEnabled() ||
-         internal::runtime_enabled.load(std::memory_order_relaxed);
+  return internal::runtime_enabled.load(std::memory_order_relaxed);
 #endif
 }
 
@@ -89,14 +78,14 @@ inline void CheckFiniteScalar(const char* op, float value, const char* file,
 
 // Guards a tensor-valued op boundary. `op` names the producer in the abort
 // report; keep it specific ("Div output", "Adam step param", ...).
-#define PILOTE_CHECK_NUMERICS(op, tensor)                                 \
+#define PILOTE_GUARD_NUMERICS(op, tensor)                                 \
   do {                                                                    \
     if (::pilote::numerics::Enabled()) {                                  \
       ::pilote::numerics::CheckFinite((op), (tensor), __FILE__, __LINE__); \
     }                                                                     \
   } while (0)
 
-#define PILOTE_CHECK_NUMERICS_SCALAR(op, value)                        \
+#define PILOTE_GUARD_NUMERICS_SCALAR(op, value)                        \
   do {                                                                 \
     if (::pilote::numerics::Enabled()) {                               \
       ::pilote::numerics::CheckFiniteScalar((op), (value), __FILE__,   \

@@ -19,7 +19,7 @@ namespace {
 thread_local std::vector<float> t_arena;
 
 // The numerics-guard insertion point of the replay path: mirrors the
-// per-op PILOTE_CHECK_NUMERICS of the eager kernels, over the arena slice
+// per-op PILOTE_GUARD_NUMERICS of the eager kernels, over the arena slice
 // a step just wrote. Gated on the same runtime/compile-time switch.
 PILOTE_HOT_PATH void GuardStepNumerics(const char* step_name, const float* p,
                                        int64_t count) {

@@ -29,8 +29,8 @@ autograd::Variable ContrastiveLoss(const autograd::Variable& left,
   PILOTE_CHECK_EQ(similar.numel(), n);
   PILOTE_CHECK_GT(margin, 0.0f);
 
-  PILOTE_CHECK_NUMERICS("ContrastiveLoss left embedding", left.value());
-  PILOTE_CHECK_NUMERICS("ContrastiveLoss right embedding", right.value());
+  PILOTE_GUARD_NUMERICS("ContrastiveLoss left embedding", left.value());
+  PILOTE_GUARD_NUMERICS("ContrastiveLoss right embedding", right.value());
 
   ag::Variable y = ag::Variable::Constant(similar);
   Tensor one_minus_y_t(similar.shape());
@@ -59,7 +59,7 @@ autograd::Variable ContrastiveLoss(const autograd::Variable& left,
   }
   ag::Variable neg = ag::Mul(one_minus_y, hinge);
   ag::Variable loss = ag::Mean(ag::Add(pos, neg));
-  PILOTE_CHECK_NUMERICS("ContrastiveLoss output", loss.value());
+  PILOTE_GUARD_NUMERICS("ContrastiveLoss output", loss.value());
   return loss;
 }
 
@@ -93,7 +93,7 @@ float ContrastiveLossValue(const Tensor& left, const Tensor& right,
     total += similar[i] * d2 + (1.0f - similar[i]) * hinge;
   }
   const float loss = static_cast<float>(total / static_cast<double>(n));
-  PILOTE_CHECK_NUMERICS_SCALAR("ContrastiveLossValue", loss);
+  PILOTE_GUARD_NUMERICS_SCALAR("ContrastiveLossValue", loss);
   return loss;
 }
 

@@ -15,12 +15,12 @@ autograd::Variable DistillationLoss(const autograd::Variable& student,
   namespace ag = autograd;
   PILOTE_CHECK(student.value().shape() == teacher.shape())
       << "distillation embedding shape mismatch";
-  PILOTE_CHECK_NUMERICS("DistillationLoss student embedding", student.value());
-  PILOTE_CHECK_NUMERICS("DistillationLoss teacher embedding", teacher);
+  PILOTE_GUARD_NUMERICS("DistillationLoss student embedding", student.value());
+  PILOTE_GUARD_NUMERICS("DistillationLoss teacher embedding", teacher);
   ag::Variable target = ag::Variable::Constant(teacher);
   // Mean over rows of the per-sample squared embedding drift.
   ag::Variable loss = ag::Mean(ag::RowSum(ag::Square(ag::Sub(student, target))));
-  PILOTE_CHECK_NUMERICS("DistillationLoss output", loss.value());
+  PILOTE_GUARD_NUMERICS("DistillationLoss output", loss.value());
   return loss;
 }
 
@@ -29,7 +29,7 @@ float DistillationLossValue(const Tensor& student, const Tensor& teacher) {
   PILOTE_CHECK_GT(student.rows(), 0);
   const float loss =
       SquaredDistance(student, teacher) / static_cast<float>(student.rows());
-  PILOTE_CHECK_NUMERICS_SCALAR("DistillationLossValue", loss);
+  PILOTE_GUARD_NUMERICS_SCALAR("DistillationLossValue", loss);
   return loss;
 }
 

@@ -20,7 +20,7 @@ inline autograd::Variable JointLoss(const autograd::Variable& distillation,
   autograd::Variable loss =
       autograd::Add(autograd::MulScalar(distillation, alpha),
                     autograd::MulScalar(contrastive, 1.0f - alpha));
-  PILOTE_CHECK_NUMERICS("JointLoss output", loss.value());
+  PILOTE_GUARD_NUMERICS("JointLoss output", loss.value());
   return loss;
 }
 

@@ -206,7 +206,6 @@ int ConsumeMetricsFlags(int argc, char** argv) {
                    status.ToString().c_str());
     }
   }
-  MaybeStartTelemetryFromEnv();
   return out;
 }
 

@@ -15,19 +15,17 @@ namespace obs {
 // artifact), and the telemetry exporter (obs/exporter.h) builds its per-tick
 // JSONL records from the same helpers.
 //
-// Environment contract (read once at first use):
-//   PILOTE_METRICS=1       enable recording (any value but "0")
-//   PILOTE_TRACE_OUT=path  enable recording + buffer Chrome trace events,
-//                          written to `path` at process exit
-//   PILOTE_TELEMETRY_OUT=prefix      enable recording + start the streaming
-//                                    TelemetryExporter (see obs/exporter.h);
-//                                    applied by ConsumeMetricsFlags
-//   PILOTE_TELEMETRY_INTERVAL_MS=n   exporter tick interval (default 1000)
-//
-// Programmatic contract: EnableMetricsJsonOutput(path) is what the bench
-// harness's --metrics-json flag calls — it enables recording and arranges
-// for a JSON snapshot at process exit, so every bench run can leave a
-// machine-readable perf record next to its stdout tables.
+// Process switches, parsed by ConsumeMetricsFlags (tests call the
+// programmatic twins directly):
+//   --metrics-json=path   enable recording + write a ToJson snapshot to
+//                         `path` at process exit (EnableMetricsJsonOutput)
+//   --trace-out=path      enable recording + buffer Chrome trace events,
+//                         written to `path` at process exit
+//                         (StartTraceCapture + WriteChromeTrace)
+//   --telemetry-out=prefix       enable recording + start the streaming
+//                                TelemetryExporter (StartGlobalTelemetry,
+//                                see obs/exporter.h)
+//   --telemetry-interval-ms=n    exporter tick interval (default 1000)
 
 // Registry metrics + labeled family slots + span profile + failpoint stats
 // merged into one snapshot (the single chaos/perf artifact).
@@ -67,9 +65,8 @@ void EnableMetricsJsonOutput(const std::string& path);
 // Strips observability flags (--metrics-json=PATH, --trace-out=PATH,
 // --telemetry-out=PREFIX, --telemetry-interval-ms=N) from an argv the
 // downstream parser does not understand (google-benchmark rejects unknown
-// flags), applying their effects, and returns the new argc. argv[0] is
-// preserved. Also starts the streaming exporter when PILOTE_TELEMETRY_OUT
-// is set in the environment.
+// flags), applying their effects, and returns the new argc. argv[0] and the
+// order of the remaining arguments are preserved.
 int ConsumeMetricsFlags(int argc, char** argv);
 
 }  // namespace obs

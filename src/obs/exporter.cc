@@ -241,20 +241,5 @@ TelemetryExporter* GlobalTelemetry() {
   return GlobalTelemetrySlot();
 }
 
-void MaybeStartTelemetryFromEnv() {
-  const char* prefix = std::getenv("PILOTE_TELEMETRY_OUT");
-  if (prefix == nullptr || prefix[0] == '\0') return;
-  TelemetryOptions options;
-  options.output_prefix = prefix;
-  if (const char* interval = std::getenv("PILOTE_TELEMETRY_INTERVAL_MS")) {
-    const long parsed = std::strtol(interval, nullptr, 10);
-    if (parsed > 0) options.interval_ms = parsed;
-  }
-  Status status = StartGlobalTelemetry(options);
-  if (!status.ok() && status.code() != StatusCode::kFailedPrecondition) {
-    PILOTE_LOG(Warning) << "PILOTE_TELEMETRY_OUT: " << status.ToString();
-  }
-}
-
 }  // namespace obs
 }  // namespace pilote

@@ -87,7 +87,7 @@ class TelemetryExporter {
   std::atomic<int64_t> ticks_{0};
 };
 
-// Process-wide exporter, the PILOTE_TELEMETRY_OUT surface. Start enables
+// Process-wide exporter, the --telemetry-out surface. Start enables
 // metric recording, launches the exporter and registers an atexit stop;
 // kFailedPrecondition if one is already running. Stop runs the final tick
 // and deletes the exporter, so a GlobalTelemetry() pointer is valid only
@@ -95,10 +95,6 @@ class TelemetryExporter {
 Status StartGlobalTelemetry(const TelemetryOptions& options);
 void StopGlobalTelemetry();
 TelemetryExporter* GlobalTelemetry();
-
-// Applies PILOTE_TELEMETRY_OUT / PILOTE_TELEMETRY_INTERVAL_MS if set and no
-// global exporter is running yet (called from ConsumeMetricsFlags).
-void MaybeStartTelemetryFromEnv();
 
 }  // namespace obs
 }  // namespace pilote

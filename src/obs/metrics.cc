@@ -3,37 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/macros.h"
-#include "obs/exporter.h"
 
 namespace pilote {
 namespace obs {
-
-namespace internal {
-
-// hotpath-ok: one-time process init behind a function-local static; the
-// exporter machinery it may start is never reached from serve steady state
-bool InitFromEnvironment() {
-  // A telemetry destination both enables the instrumentation and starts
-  // the streaming exporter, for ANY pilote binary — not just the benches
-  // that route flags through ConsumeMetricsFlags. Runs once (this function
-  // backs a function-local static); the exporter start path never reads
-  // Enabled() on this thread, so the in-progress static cannot re-enter.
-  if (std::getenv("PILOTE_TELEMETRY_OUT") != nullptr) {
-    MaybeStartTelemetryFromEnv();
-    return true;
-  }
-  const char* metrics = std::getenv("PILOTE_METRICS");
-  if (metrics != nullptr && std::strcmp(metrics, "0") != 0) return true;
-  // A trace destination likewise implies the instrumentation must run.
-  return std::getenv("PILOTE_TRACE_OUT") != nullptr;
-}
-
-}  // namespace internal
 
 void SetEnabled(bool enabled) {
   internal::runtime_enabled.store(enabled, std::memory_order_relaxed);

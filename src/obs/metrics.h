@@ -19,35 +19,27 @@ namespace obs {
 // heap allocation; registration (name -> handle) takes a mutex but runs
 // once per instrumentation site via a function-local static.
 //
-// Everything is gated on Enabled(): with the PILOTE_METRICS environment
-// variable unset and no runtime opt-in, every PILOTE_METRIC_* macro below
-// is one relaxed atomic load and a predictable branch — the same disabled
-// cost contract as common/numerics_guard.h.
+// Everything is gated on Enabled(): until SetEnabled(true) (or a bench's
+// --metrics-json / --trace-out / --telemetry-out flag, which calls it),
+// every PILOTE_METRIC_* macro below is one relaxed atomic load and a
+// predictable branch — the same disabled cost contract as
+// common/numerics_guard.h.
 
 namespace internal {
 
 inline std::atomic<bool> runtime_enabled{false};
 
-// Reads PILOTE_METRICS / PILOTE_TRACE_OUT once; either enables recording.
-bool InitFromEnvironment();
-
-inline bool EnvironmentEnabled() {
-  static const bool enabled = InitFromEnvironment();
-  return enabled;
-}
-
 }  // namespace internal
 
-// Runtime opt-in/out (the environment opt-in cannot be revoked).
+// Runtime opt-in/out; the one switch behind Enabled().
 void SetEnabled(bool enabled);
 
 inline bool Enabled() {
-  return internal::EnvironmentEnabled() ||
-         internal::runtime_enabled.load(std::memory_order_relaxed);
+  return internal::runtime_enabled.load(std::memory_order_relaxed);
 }
 
 // Force-enables recording for a scope (e.g. a test reading back its own
-// recordings regardless of PILOTE_METRICS).
+// recordings).
 class ScopedEnable {
  public:
   ScopedEnable()

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -89,20 +88,7 @@ class SpanRegistry {
 // opt-in debugging mode, and a mutex keeps the buffer TSan-clean without
 // per-thread buffer stitching.
 struct CaptureState {
-  CaptureState() : base_ns(NowNanos()) {
-    const char* path = std::getenv("PILOTE_TRACE_OUT");
-    if (path != nullptr && path[0] != '\0') {
-      exit_path = path;
-      active.store(true, std::memory_order_relaxed);
-      std::atexit(+[]() {
-        Status status = WriteChromeTrace(Global().exit_path);
-        if (!status.ok()) {
-          std::fprintf(stderr, "PILOTE_TRACE_OUT: %s\n",
-                       status.ToString().c_str());
-        }
-      });
-    }
-  }
+  CaptureState() : base_ns(NowNanos()) {}
 
   // hotpath-ok: process-lifetime singleton, allocates on first call only
   static CaptureState& Global() {
@@ -112,9 +98,6 @@ struct CaptureState {
 
   std::atomic<bool> active{false};
   const int64_t base_ns;
-  // unguarded: written once in the constructor, before any other thread
-  // can observe the (function-local static) instance.
-  std::string exit_path;
   Mutex mutex;
   std::vector<TraceEvent> events PILOTE_GUARDED_BY(mutex);
 };

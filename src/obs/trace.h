@@ -24,10 +24,10 @@ namespace obs {
 //
 // Spans nest through a thread-local stack and aggregate per span name
 // (execution count, total wall time, self time = total minus nested span
-// time). Aggregates feed the flat profile in obs::CaptureSnapshot; when a
-// trace destination is configured (PILOTE_TRACE_OUT=path or
-// StartTraceCapture), every span additionally records one Chrome
-// `trace_event` for chrome://tracing / Perfetto.
+// time). Aggregates feed the flat profile in obs::CaptureSnapshot; once
+// StartTraceCapture has run (the bench --trace-out flag calls it), every
+// span additionally records one Chrome `trace_event` for chrome://tracing /
+// Perfetto.
 //
 // Disabled cost (obs::Enabled() false): one relaxed atomic load and a
 // branch per span entry — spans are safe to leave in hot-ish paths like
@@ -82,8 +82,8 @@ std::vector<SpanSample> SpanProfile();
 // Zeroes all span aggregates and drops buffered trace events.
 void ResetSpansForTesting();
 
-// Starts buffering Chrome trace events (PILOTE_TRACE_OUT does this
-// automatically and also writes the file at process exit).
+// Starts buffering Chrome trace events (--trace-out=path does this and
+// also writes the file at process exit).
 void StartTraceCapture();
 bool TraceCaptureActive();
 
@@ -100,8 +100,8 @@ struct TraceEvent {
 std::vector<TraceEvent> CapturedTraceEvents();
 
 // Writes the buffered events as Chrome trace_event JSON (load in
-// chrome://tracing or https://ui.perfetto.dev). PILOTE_TRACE_OUT=path
-// calls this automatically at process exit.
+// chrome://tracing or https://ui.perfetto.dev). --trace-out=path calls
+// this at process exit.
 Status WriteChromeTrace(const std::string& path);
 
 }  // namespace obs

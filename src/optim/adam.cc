@@ -27,7 +27,7 @@ void Adam::Step() {
     autograd::Variable& param = params_[i];
     const Tensor& grad = param.grad();
     if (grad.numel() == 0) continue;
-    PILOTE_CHECK_NUMERICS("Adam step grad", grad);
+    PILOTE_GUARD_NUMERICS("Adam step grad", grad);
     Tensor& value = param.mutable_value();
     Tensor& m = m_[i];
     Tensor& v = v_[i];
@@ -41,7 +41,7 @@ void Adam::Step() {
       const float v_hat = v[j] / bias2;
       value[j] -= lr_ * m_hat / (std::sqrt(v_hat) + options_.eps);
     }
-    PILOTE_CHECK_NUMERICS("Adam step param", value);
+    PILOTE_GUARD_NUMERICS("Adam step param", value);
   }
 }
 

@@ -175,8 +175,8 @@ void BatchingEngine::ProcessBatch(std::vector<PredictRequest>& batch) {
     group_keys_[g]->PredictBatch(features, complete);
   }
 
-  // Runtime side of the hot-path discipline: with PILOTE_ALLOC_STATS armed
-  // (or a ScopedTracking in scope), every flush reports how often the
+  // Runtime side of the hot-path discipline: with a ScopedTracking in scope
+  // (or SetTrackingEnabled(true)), every flush reports how often the
   // worker thread hit the allocator. bench_serving and the allocation-pin
   // test read these back through the metrics registry.
   if (alloc::TrackingEnabled()) {

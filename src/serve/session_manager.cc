@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/macros.h"
 #include "obs/metrics.h"
@@ -11,26 +10,12 @@
 namespace pilote {
 namespace serve {
 
-namespace {
-
-// Label values "0".."shards-1" of serve/shard_sessions{shard=...}.
-std::vector<std::string> ShardLabels(size_t shards) {
-  std::vector<std::string> labels;
-  labels.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) labels.push_back(std::to_string(s));
-  return labels;
-}
-
-}  // namespace
-
 SessionManager::SessionManager(const ServeOptions& options)
     : options_(options),
       degraded_(obs::FamilyRegistry::Global().GetCounterFamily(
           "serve/degraded_total", "reason", {"deadline", "backpressure"})),
       rejected_(obs::FamilyRegistry::Global().GetCounterFamily(
-          "serve/rejected_total", "reason", {"shape", "non_finite"})),
-      shard_sessions_(obs::FamilyRegistry::Global().GetGaugeFamily(
-          "serve/shard_sessions", "shard", ShardLabels(kNumShards))) {
+          "serve/rejected_total", "reason", {"shape", "non_finite"})) {
   Status valid = ValidateServeOptions(options_);
   PILOTE_CHECK(valid.ok()) << valid.ToString();
   engine_ = std::make_unique<BatchingEngine>(options_);
@@ -52,17 +37,6 @@ Result<std::shared_ptr<Session>> SessionManager::FindSession(SessionId id) {
   return it->second;
 }
 
-void SessionManager::UpdateShardGauge(SessionId id) {
-  if (!obs::Enabled()) return;
-  const size_t shard_index = id % kNumShards;
-  size_t count;
-  {
-    MutexLock lock(shards_[shard_index].mutex);
-    count = shards_[shard_index].sessions.size();
-  }
-  shard_sessions_.At(shard_index).Set(static_cast<double>(count));
-}
-
 Result<SessionId> SessionManager::CreateSession(
     std::shared_ptr<LearnerHandle> learner,
     const core::StreamingOptions& options) {
@@ -80,7 +54,6 @@ Result<SessionId> SessionManager::CreateSession(
   }
   PILOTE_METRIC_GAUGE_SET("serve/sessions_active",
                           static_cast<double>(NumSessions()));
-  UpdateShardGauge(id);
   return id;
 }
 
@@ -94,7 +67,6 @@ Status SessionManager::CloseSession(SessionId id) {
   }
   PILOTE_METRIC_GAUGE_SET("serve/sessions_active",
                           static_cast<double>(NumSessions()));
-  UpdateShardGauge(id);
   return Status::Ok();
 }
 
@@ -126,7 +98,6 @@ Result<std::future<int>> SessionManager::SubmitWindow(SessionId id,
   request.enqueue_time = std::chrono::steady_clock::now();
   std::future<int> done = request.done.get_future();
   if (!engine_->Submit(std::move(request))) {
-    PILOTE_METRIC_COUNT("serve/backpressure_rejects", 1);
     if (obs::Enabled()) degraded_.At(kBackpressureSlot).Increment();
     return Status::ResourceExhausted(
         "serving queue full (capacity " +
@@ -142,7 +113,6 @@ Result<Prediction> SessionManager::PushWindow(
       done.wait_for(deadline) != std::future_status::ready) {
     // Deadline miss: degrade to the session's last smoothed label. The
     // in-flight window still completes later and updates the vote.
-    PILOTE_METRIC_COUNT("serve/deadline_degraded", 1);
     if (obs::Enabled()) degraded_.At(kDeadlineSlot).Increment();
     PILOTE_ASSIGN_OR_RETURN(std::shared_ptr<Session> session, FindSession(id));
     return session->LastPrediction();

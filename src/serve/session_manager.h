@@ -75,8 +75,6 @@ class SessionManager {
   // Session-table shards; each has its own mutex so concurrent ingest
   // threads for different devices rarely contend.
   static constexpr size_t kNumShards = 4;
-  static_assert(kNumShards <= obs::kMaxLabelValues,
-                "serve/shard_sessions needs one label value per shard");
 
   struct Shard {
     mutable Mutex mutex;
@@ -91,8 +89,6 @@ class SessionManager {
 
   Shard& ShardFor(SessionId id);
   Result<std::shared_ptr<Session>> FindSession(SessionId id);
-  // Refreshes serve/shard_sessions{shard=...} for the shard owning `id`.
-  void UpdateShardGauge(SessionId id);
 
   const ServeOptions options_;
   std::array<Shard, kNumShards> shards_;
@@ -102,8 +98,6 @@ class SessionManager {
   // serve/rejected_total{reason=shape|non_finite}: feature rows
   // SubmitWindow refused before they reached the batcher.
   const obs::CounterFamily rejected_;
-  // Per-shard session gauges, serve/shard_sessions{shard=...}.
-  const obs::GaugeFamily shard_sessions_;
   // Declared last: the engine stops (draining its queue, which holds
   // shared_ptr<Session> references) before the shards are torn down.
   std::unique_ptr<BatchingEngine> engine_;

@@ -35,7 +35,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* op,
   const int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
   CountElementwise(n);
-  PILOTE_CHECK_NUMERICS(op, out);
+  PILOTE_GUARD_NUMERICS(op, out);
   return out;
 }
 
@@ -47,7 +47,7 @@ Tensor ElementwiseUnary(const Tensor& a, const char* op, Fn fn) {
   const int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
   CountElementwise(n);
-  PILOTE_CHECK_NUMERICS(op, out);
+  PILOTE_GUARD_NUMERICS(op, out);
   return out;
 }
 
@@ -66,7 +66,7 @@ Tensor RowBroadcast(const Tensor& m, const Tensor& v, const char* op, Fn fn) {
     for (int64_t c = 0; c < cols; ++c) po[c] = fn(pm[c], pv[c]);
   }
   CountElementwise(m.numel());
-  PILOTE_CHECK_NUMERICS(op, out);
+  PILOTE_GUARD_NUMERICS(op, out);
   return out;
 }
 
@@ -94,7 +94,7 @@ void Axpy(float alpha, const Tensor& b, Tensor& a) {
   const float* pb = b.data();
   const int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) pa[i] += alpha * pb[i];
-  PILOTE_CHECK_NUMERICS("Axpy", a);
+  PILOTE_GUARD_NUMERICS("Axpy", a);
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -142,7 +142,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       << "MatMul " << a.shape().ToString() << " x " << b.shape().ToString();
   Tensor out(Shape::Matrix(a.rows(), b.cols()));
   Gemm(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.cols());
-  PILOTE_CHECK_NUMERICS("MatMul", out);
+  PILOTE_GUARD_NUMERICS("MatMul", out);
   return out;
 }
 
@@ -154,7 +154,7 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
       << b.shape().ToString();
   Tensor out(Shape::Matrix(a.rows(), b.rows()));  // hotpath-ok: output
   GemmTransB(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.rows());
-  PILOTE_CHECK_NUMERICS("MatMulTransB", out);
+  PILOTE_GUARD_NUMERICS("MatMulTransB", out);
   return out;
 }
 
@@ -166,7 +166,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
       << b.shape().ToString();
   Tensor out(Shape::Matrix(a.cols(), b.cols()));
   GemmTransA(a.data(), b.data(), out.data(), a.cols(), a.rows(), b.cols());
-  PILOTE_CHECK_NUMERICS("MatMulTransA", out);
+  PILOTE_GUARD_NUMERICS("MatMulTransA", out);
   return out;
 }
 
@@ -207,7 +207,7 @@ float Sum(const Tensor& a) {
   const float* p = a.data();
   for (int64_t i = 0; i < a.numel(); ++i) acc += p[i];
   const float result = static_cast<float>(acc);
-  PILOTE_CHECK_NUMERICS_SCALAR("Sum", result);
+  PILOTE_GUARD_NUMERICS_SCALAR("Sum", result);
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Tests of the runtime allocation accounting behind PILOTE_ALLOC_STATS:
+// Tests of the runtime allocation accounting behind alloc::ScopedTracking:
 // gating (zero overhead and zero counts while disabled), scope deltas and
 // nesting, and per-thread isolation (each thread owns its counters; the
 // multi-thread case doubles as a TSan drill for the interposed operator

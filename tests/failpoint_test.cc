@@ -1,5 +1,5 @@
-// Unit tests of the failpoint registry itself: trigger semantics, the
-// arming grammar, disarm/reset behavior and the disabled fast path. The
+// Unit tests of the failpoint registry itself: trigger semantics, spec
+// validation, disarm/reset behavior and the disabled fast path. The
 // end-to-end fault drills live in chaos_test.cc.
 #include <string>
 #include <vector>
@@ -59,17 +59,6 @@ TEST(FailpointTest, AlwaysFiresEveryTimeUntilDisarmed) {
   EXPECT_TRUE(Hit("test/always").ok());
 }
 
-TEST(FailpointTest, EveryNthFiresOnMultiplesOfN) {
-  ScopedFailpoints scope;
-  ASSERT_TRUE(FailpointRegistry::Global()
-                  .Arm("test/nth", FailpointSpec::EveryNth(3))
-                  .ok());
-  std::vector<bool> fired;
-  for (int i = 0; i < 9; ++i) fired.push_back(!Hit("test/nth").ok());
-  EXPECT_EQ(fired, (std::vector<bool>{false, false, true, false, false, true,
-                                      false, false, true}));
-}
-
 TEST(FailpointTest, ProbabilityScheduleIsDeterministicInSeed) {
   ScopedFailpoints scope;
   auto schedule = [](uint64_t seed) {
@@ -111,49 +100,15 @@ TEST(FailpointTest, ArmRejectsInvalidSpecs) {
   EXPECT_EQ(FailpointRegistry::Global().Arm("test/bad", ok_code).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(FailpointRegistry::Global()
-                .Arm("test/bad", FailpointSpec::EveryNth(0))
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(FailpointRegistry::Global()
                 .Arm("test/bad", FailpointSpec::WithProbability(1.5, 1))
                 .code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST(FailpointTest, ArmFromStringParsesTheEnvGrammar) {
-  ScopedFailpoints scope;
-  ASSERT_TRUE(FailpointRegistry::Global()
-                  .ArmFromString("test/cfg_a=once:data_loss;"
-                                 "test/cfg_b=nth:2:unavailable;"
-                                 "test/cfg_c=prob:1.0:7")
-                  .ok());
-  EXPECT_EQ(Hit("test/cfg_a").code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(Hit("test/cfg_b").ok());
-  EXPECT_EQ(Hit("test/cfg_b").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(Hit("test/cfg_c").code(), StatusCode::kIoError);
-}
-
-TEST(FailpointTest, ArmFromStringAcceptsEnableOnlySentinel) {
-  ScopedFailpoints scope;
-  EXPECT_TRUE(FailpointRegistry::Global().ArmFromString("1").ok());
-}
-
-TEST(FailpointTest, ArmFromStringRejectsMalformedEntries) {
-  ScopedFailpoints scope;
-  for (const char* bad :
-       {"missing_equals", "=once", "test/x=explode", "test/x=nth",
-        "test/x=nth:notanumber", "test/x=prob:0.5", "test/x=once:bad_code",
-        "test/x=once:io_error:extra"}) {
-    EXPECT_EQ(FailpointRegistry::Global().ArmFromString(bad).code(),
-              StatusCode::kInvalidArgument)
-        << bad;
-  }
-}
-
 TEST(FailpointTest, StatsCountHitsAndFires) {
   ScopedFailpoints scope;
   ASSERT_TRUE(FailpointRegistry::Global()
-                  .Arm("test/stats", FailpointSpec::EveryNth(2))
+                  .Arm("test/stats", FailpointSpec::Always())
                   .ok());
   for (int i = 0; i < 4; ++i) {
     Status status = Hit("test/stats");
@@ -164,12 +119,10 @@ TEST(FailpointTest, StatsCountHitsAndFires) {
     if (stats.name != "test/stats") continue;
     found = true;
     EXPECT_GE(stats.hits, 4);
-    EXPECT_EQ(stats.fires, 2);
+    EXPECT_EQ(stats.fires, 4);
     EXPECT_TRUE(stats.armed);
   }
   EXPECT_TRUE(found);
-  const std::string json = FailpointRegistry::Global().StatsJson();
-  EXPECT_NE(json.find("\"test/stats\":{\"armed\":true"), std::string::npos);
 }
 
 TEST(FailpointTest, ScopedFailpointsDisarmsOnExit) {

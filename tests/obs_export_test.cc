@@ -1,7 +1,7 @@
 // Exporter-format tests for obs/export.cc: JSON round trips of labeled
 // and unlabeled series, empty-registry output, histogram delta edge cases
-// at the export boundary, and the unification of failpoint stats into the
-// same snapshot and JSON as the metrics.
+// at the export boundary, the unification of failpoint stats into the
+// same snapshot and JSON as the metrics, and the bench flag parser.
 #include <string>
 #include <vector>
 
@@ -9,6 +9,7 @@
 
 #include "common/failpoint.h"
 #include "obs/export.h"
+#include "obs/exporter.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -119,6 +120,45 @@ TEST_F(ObsExportTest, FailpointStatsUnifiedIntoSnapshotAndArtifacts) {
   EXPECT_NE(json.find("\"failpoints\":{"), std::string::npos);
   EXPECT_NE(json.find("\"test/export_fp\":{\"armed\":true"),
             std::string::npos);
+}
+
+// The four observability flags are the process's only diagnostic switches:
+// ConsumeMetricsFlags must apply each and hand every other argument back in
+// order. Runs last: it leaves trace capture on and registers the at-exit
+// metrics and trace writers (both aimed at the test's temp directory).
+TEST_F(ObsExportTest, ConsumeMetricsFlagsAppliesOursAndReturnsTheRest) {
+  SetEnabled(false);
+  ASSERT_FALSE(TraceCaptureActive());
+  ASSERT_EQ(GlobalTelemetry(), nullptr);
+  const std::string dir = ::testing::TempDir();
+  std::vector<std::string> args = {
+      "bench",
+      "--unknown=1",
+      "--metrics-json=" + dir + "/flags_metrics.json",
+      "--benchmark_filter=x",
+      "--trace-out=" + dir + "/flags_trace.json",
+      "--telemetry-out=" + dir + "/flags_telemetry",
+      "--telemetry-interval-ms=50",
+      "positional"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+
+  const int argc =
+      ConsumeMetricsFlags(static_cast<int>(argv.size()), argv.data());
+
+  ASSERT_EQ(argc, 4);
+  EXPECT_STREQ(argv[0], "bench");
+  EXPECT_STREQ(argv[1], "--unknown=1");
+  EXPECT_STREQ(argv[2], "--benchmark_filter=x");
+  EXPECT_STREQ(argv[3], "positional");
+  EXPECT_TRUE(Enabled());
+  EXPECT_TRUE(TraceCaptureActive());
+  TelemetryExporter* telemetry = GlobalTelemetry();
+  ASSERT_NE(telemetry, nullptr);
+  EXPECT_EQ(telemetry->options().output_prefix, dir + "/flags_telemetry");
+  EXPECT_EQ(telemetry->options().interval_ms, 50);
+  StopGlobalTelemetry();
+  EXPECT_EQ(GlobalTelemetry(), nullptr);
 }
 
 }  // namespace

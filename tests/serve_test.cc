@@ -578,7 +578,15 @@ TEST(LearnerHandleTest, PredictBatchCompletionNamesTheVersionThatLabeled) {
 
 // ----------------------------------------------- Backpressure + deadlines
 
+// serve/degraded_total{reason=deadline|backpressure}, as SessionManager
+// counts it.
+obs::CounterFamily DegradedCounters() {
+  return obs::FamilyRegistry::Global().GetCounterFamily(
+      "serve/degraded_total", "reason", {"deadline", "backpressure"});
+}
+
 TEST(SessionManagerTest, FullQueueRejectsWithResourceExhausted) {
+  obs::ScopedEnable metrics;
   core::PiloteConfig config = TestConfig();
   ServeOptions options;
   options.queue_capacity = 1;
@@ -586,6 +594,9 @@ TEST(SessionManagerTest, FullQueueRejectsWithResourceExhausted) {
   Result<SessionId> id =
       manager.CreateSession(MakeHandle(config), config.streaming);
   ASSERT_TRUE(id.ok());
+  const obs::CounterFamily degraded = DegradedCounters();
+  const int64_t deadline_before = degraded.At(0).value();
+  const int64_t backpressure_before = degraded.At(1).value();
 
   manager.engine().PauseForTesting();  // returns once the worker is parked
   Rng rng(9);
@@ -596,17 +607,23 @@ TEST(SessionManagerTest, FullQueueRejectsWithResourceExhausted) {
       manager.SubmitWindow(*id, RandomWindow(config, rng));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(degraded.At(1).value() - backpressure_before, 1);
+  EXPECT_EQ(degraded.At(0).value() - deadline_before, 0);
 
   manager.engine().ResumeForTesting();
   EXPECT_GE(accepted.value().get(), 0);
 }
 
 TEST(SessionManagerTest, DeadlineMissDegradesToLastVote) {
+  obs::ScopedEnable metrics;
   core::PiloteConfig config = TestConfig();
   SessionManager manager(ServeOptions{});
   Result<SessionId> id =
       manager.CreateSession(MakeHandle(config), config.streaming);
   ASSERT_TRUE(id.ok());
+  const obs::CounterFamily degraded_counters = DegradedCounters();
+  const int64_t deadline_before = degraded_counters.At(0).value();
+  const int64_t backpressure_before = degraded_counters.At(1).value();
   Rng rng(13);
 
   // Before any window completes, a deadline miss yields kNoPrediction.
@@ -633,6 +650,8 @@ TEST(SessionManagerTest, DeadlineMissDegradesToLastVote) {
   EXPECT_TRUE(degraded->degraded);
   EXPECT_GE(degraded->label, 0);
   manager.engine().ResumeForTesting();
+  EXPECT_EQ(degraded_counters.At(0).value() - deadline_before, 2);
+  EXPECT_EQ(degraded_counters.At(1).value() - backpressure_before, 0);
 }
 
 // ------------------------------------------- Hot-path allocation budgets
