@@ -21,11 +21,22 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
   BenchConfig config;
   config.pilote = core::PiloteConfig::Small();
   config.pilote.exemplars_per_class = 200;
+  // --paper sets defaults, so it applies before the other flags wherever
+  // it stands: --paper --rounds=2 runs two rounds.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--paper") != 0) continue;
+    config.paper_scale = true;
+    config.pilote = core::PiloteConfig::Paper();
+    config.pilote.exemplars_per_class = 200;
+    config.train_per_class = 1000;
+    config.test_per_class = 300;
+    config.new_samples = 400;
+    config.rounds = 5;
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--paper") {
-      config.paper_scale = true;
-    } else if (arg.rfind("--rounds=", 0) == 0) {
+    if (arg == "--paper") continue;  // applied above
+    if (arg.rfind("--rounds=", 0) == 0) {
       config.rounds = std::atoi(arg.c_str() + std::strlen("--rounds="));
       PILOTE_CHECK_GT(config.rounds, 0);
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -34,14 +45,6 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
     } else {
       PILOTE_LOG(Warning) << "ignoring unknown flag " << arg;
     }
-  }
-  if (config.paper_scale) {
-    config.pilote = core::PiloteConfig::Paper();
-    config.pilote.exemplars_per_class = 200;
-    config.train_per_class = 1000;
-    config.test_per_class = 300;
-    config.new_samples = 400;
-    config.rounds = 5;
   }
   return config;
 }

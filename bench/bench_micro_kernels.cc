@@ -148,6 +148,30 @@ BENCHMARK(BM_GemmTransALayerShape)
     ->Args({128, 64, 128})
     ->UseRealTime();
 
+// The Linear input gradient of the backward pass: dX[batch, in] =
+// dY[batch, out] * W[out, in], with dY ReLU-sparse as the backward pass
+// sees it.
+void BM_GemmGradInputLayerShape(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const int64_t in = state.range(1);
+  const int64_t out = state.range(2);
+  Rng rng(1);
+  Tensor dy = Relu(Tensor::RandNormal(Shape::Matrix(batch, out), rng));
+  Tensor w = Tensor::RandNormal(Shape::Matrix(out, in), rng);
+  for (auto _ : state) {
+    Tensor dx = MatMul(dy, w);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * in * out);
+}
+BENCHMARK(BM_GemmGradInputLayerShape)
+    ->Args({128, 80, 1024})
+    ->Args({128, 1024, 512})
+    ->Args({128, 512, 128})
+    ->Args({128, 128, 64})
+    ->Args({128, 64, 128})
+    ->UseRealTime();
+
 void BM_FeatureExtraction(benchmark::State& state) {
   har::SensorSimulator sim(2);
   Tensor window = sim.GenerateWindow(har::Activity::kWalk);

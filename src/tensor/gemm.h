@@ -7,9 +7,13 @@
 namespace pilote {
 
 // Dense single-precision matrix multiply kernels over raw row-major buffers.
-// All kernels compute C = A_op * B_op (C is fully overwritten) and
-// parallelize over rows of C via ThreadPool::Global() when profitable
-// (GemmTransA and GemmPackedSerial stay serial).
+// All kernels compute C = A_op * B_op (C is fully overwritten). Gemm,
+// GemmTransB and GemmTransA run one register-tiled microkernel on AVX-512
+// builds: an 8x32 tile of C stays in registers while p walks the depth,
+// over a 32-column strip of B packed per task into a per-thread panel.
+// Above 4 MFLOP they split C into (row block x column strip) tasks on
+// ThreadPool::Global(). Without AVX-512 they run i-k-j SAXPY rows,
+// partitioned over rows of C. GemmPackedSerial stays serial.
 //
 // Gemm:        C[m,n] = A[m,k] * B[k,n]
 // GemmTransB:  C[m,n] = A[m,k] * B[n,k]^T
@@ -18,13 +22,14 @@ namespace pilote {
 // Rounding contract: every C element sums its k products in order of p,
 // starting from 0.0f, and each step's rounding is fixed in source —
 // GemmTransB rounds the product and then the sum (unfused); Gemm and
-// GemmTransA round once per step (std::fma). gemm.cc is compiled with
-// -ffp-contract=off so the compiler cannot change either choice, and
-// tests/gemm_test.cc pins both against in-order references with memcmp.
-// GemmTransB packs B^T into a per-thread panel and runs vectorized SAXPY
-// rows when C has at least 16 rows and 16 columns, and runs dot-product
-// rows otherwise; the two give the same bits, so which one ran is not
-// observable.
+// GemmTransA round once per step (fused: a masked vfmadd in the tile,
+// std::fma in the rows) and skip a step whose A entry is exactly zero, in
+// every row (a NaN entry is not skipped). So 0 x Inf in B adds nothing in
+// a fused kernel and gives NaN in an unfused one. gemm.cc is compiled
+// with -ffp-contract=off so the compiler cannot change either choice, and
+// tests/gemm_test.cc pins every kernel, on both builds, against in-order
+// references with memcmp. Which loop form or task split ran is therefore
+// not observable.
 PILOTE_HOT_PATH void Gemm(const float* a, const float* b, float* c,
                           int64_t m, int64_t k, int64_t n);
 PILOTE_HOT_PATH void GemmTransB(const float* a, const float* b, float* c,
@@ -34,10 +39,10 @@ void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 // Compiled-plan GEMM: C[m,n] = A[m,k] * Bt[k,n], where Bt is a weight B
 // [n, k] stored once as B^T by PackTransposed. It runs the unfused SAXPY
-// rows of the packed GemmTransB path over all m rows, so it gives the same
-// bits as GemmTransB(a, b, c, m, k, n) under the rounding contract above.
-// It is serial and allocates nothing: the pool Dispatch captures the row
-// callback in a std::function, a heap allocation per call, and the
+// rows over all m rows, so it gives the same bits as
+// GemmTransB(a, b, c, m, k, n) under the rounding contract above.
+// It is serial and allocates nothing: a pool dispatch allocates its task
+// callback and shared state per call, a strip panel may grow, and the
 // compiled-inference replay loop (src/exec/) must be allocation-free.
 PILOTE_HOT_PATH void GemmPackedSerial(const float* a, const float* bt,
                                       float* c, int64_t m, int64_t k,

@@ -114,9 +114,10 @@ INSTANTIATE_TEST_SUITE_P(
 // Rounding pins. Every kernel sums over p in order from 0.0f; what differs
 // is the rounding of each step, which gemm.cc writes in source. A*B^T is
 // unfused (the product rounded, then the sum), A*B and A^T*B are fused
-// (std::fma). The references below spell out that contract; the
-// comparisons are memcmp, so a kernel that reorders the sum or lets the
-// compiler contract (or stop contracting) a step fails here.
+// (std::fma) and skip an exact-zero A entry. The references below spell
+// out that contract; the comparisons are memcmp, so a kernel that reorders
+// the sum or lets the compiler contract (or stop contracting) a step fails
+// here.
 
 // C = A * B^T with C[i,j] = (..((0 + a_i0*b_j0) + a_i1*b_j1) + ..), every
 // product rounded on its own: the volatile store keeps it out of an FMA.
@@ -135,8 +136,9 @@ Tensor UnfusedTransBReference(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-// C = A_op * B with C[i,j] = fma(a_ip, b_pj, ..fma(a_i0, b_0j, 0)..);
-// a_ip comes from A [m, k] or, with trans_a, from A [k, m].
+// C = A_op * B with C[i,j] = fma(a_ip, b_pj, ..fma(a_i0, b_0j, 0)..), a
+// step skipped where a_ip is exactly zero; a_ip comes from A [m, k] or,
+// with trans_a, from A [k, m].
 Tensor FusedReference(const Tensor& a, const Tensor& b, bool trans_a) {
   const int64_t m = trans_a ? a.cols() : a.rows();
   const int64_t k = trans_a ? a.rows() : a.cols();
@@ -145,7 +147,8 @@ Tensor FusedReference(const Tensor& a, const Tensor& b, bool trans_a) {
     for (int64_t j = 0; j < b.cols(); ++j) {
       float acc = 0.0f;
       for (int64_t p = 0; p < k; ++p) {
-        acc = std::fma(trans_a ? a(p, i) : a(i, p), b(p, j), acc);
+        const float a_ip = trans_a ? a(p, i) : a(i, p);
+        if (a_ip != 0.0f) acc = std::fma(a_ip, b(p, j), acc);
       }
       c(i, j) = acc;
     }
@@ -174,10 +177,10 @@ Tensor PlanGemm(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-// m spans the dot rows (1, 3, 5) and the packed SAXPY rows (130) of
-// GemmTransB; k is odd, where the unpinned dot rows were partly fused.
-// (1, 129, 5) is the NCM cross-term width and (3, 1025, 512) the widest
-// backbone layer, where the plan kernel runs only its tail rows. The
+// m spans partial register tiles (1, 3, 5) and many full ones (130); k
+// is odd, where an earlier dot-product form was partly fused. (1, 129, 5)
+// is the NCM cross-term width and (3, 1025, 512) the widest backbone
+// layer, where the plan kernel runs only its tail rows. The
 // (130, 257, 65) shape is above the 4 MFLOP parallel-dispatch threshold.
 class GemmRoundingTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -220,14 +223,64 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, 129, 5),
                       std::make_tuple(3, 1025, 512)));
 
+// Every tail of the register tile (8 rows by 32 columns, two 16-lane
+// vectors) and of the 4-row SAXPY rows: m in {1, 7, 8, 9, 33} and n in
+// {1, 5, 15, 16, 17, 31, 33, 80}, at a depth of 1, 128 and 1025.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, GemmRoundingTest,
+    ::testing::Combine(::testing::Values(1, 7, 8, 9, 33),
+                       ::testing::Values(1, 128, 1025),
+                       ::testing::Values(1, 5, 15, 16, 17, 31, 33, 80)));
+
+// The three GEMMs of one Linear layer of the paper backbone
+// 80 -> [1024, 512, 128, 64] -> 128 at the 128-row training batch: the
+// forward Y = X W^T, the input gradient dX = dY W and the weight gradient
+// dW = dY^T X, with ReLU-sparse X and dY. Every weight gradient but the
+// two smallest is above the 4 MFLOP parallel-dispatch threshold, so these
+// also pin the pool's task split.
+class GemmTrainingShapeTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(GemmTrainingShapeTest, ForwardIsUnfusedInOrder) {
+  const auto [in, out] = GetParam();
+  Rng rng(static_cast<uint64_t>(in * 71 + out));
+  Tensor x = ReluSparse(128, in, rng);
+  Tensor w = Tensor::RandNormal(Shape::Matrix(out, in), rng);
+  EXPECT_TRUE(BitIdentical(MatMulTransB(x, w), UnfusedTransBReference(x, w)));
+}
+
+TEST_P(GemmTrainingShapeTest, InputGradientIsFusedInOrder) {
+  const auto [in, out] = GetParam();
+  Rng rng(static_cast<uint64_t>(in * 73 + out));
+  Tensor dy = ReluSparse(128, out, rng);
+  Tensor w = Tensor::RandNormal(Shape::Matrix(out, in), rng);
+  EXPECT_TRUE(
+      BitIdentical(MatMul(dy, w), FusedReference(dy, w, /*trans_a=*/false)));
+}
+
+TEST_P(GemmTrainingShapeTest, WeightGradientIsFusedInOrder) {
+  const auto [in, out] = GetParam();
+  Rng rng(static_cast<uint64_t>(in * 79 + out));
+  Tensor dy = ReluSparse(128, out, rng);
+  Tensor x = ReluSparse(128, in, rng);
+  EXPECT_TRUE(BitIdentical(MatMulTransA(dy, x),
+                           FusedReference(dy, x, /*trans_a=*/true)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperBackbone, GemmTrainingShapeTest,
+    ::testing::Values(std::make_tuple(80, 1024), std::make_tuple(1024, 512),
+                      std::make_tuple(512, 128), std::make_tuple(128, 64),
+                      std::make_tuple(64, 128)));
+
 // A holds an exact zero at the same p where B holds an Inf (0 * Inf is
 // NaN), plus a finite row that meets the Inf. The unfused reference keeps
-// every term, so each kernel must give NaN exactly where it does: the dot
-// rows (m < 16) and packed rows (m >= 16) of GemmTransB, the kernel behind
-// MatMulTransB, and the plan kernel, which must never skip a zero
-// activation. m = 17 covers four 4-row tiles and a tail row of the packed
-// rows. The raw kernels are called because MatMulTransB's numerics guard
-// aborts on the NaN under PILOTE_DEBUG_NUMERICS.
+// every term, so each kernel must give NaN exactly where it does:
+// GemmTransB, the kernel behind MatMulTransB, and the plan kernel, which
+// must never skip a zero activation. m = 17 covers two 8-row register
+// tiles (four 4-row tiles of the plan's rows) and a tail row. The raw
+// kernels are called because MatMulTransB's numerics guard aborts on the
+// NaN under PILOTE_DEBUG_NUMERICS.
 TEST(GemmTest, ZeroTimesNonFiniteWeightPropagatesLikeTheReference) {
   for (int64_t m : {3, 17}) {
     SCOPED_TRACE("m " + std::to_string(m));
@@ -263,26 +316,83 @@ TEST(GemmTest, ZeroTimesNonFiniteWeightPropagatesLikeTheReference) {
   }
 }
 
-// Two threads run packed, pool-dispatched MatMulTransB calls on different
-// operands at once. Each result must equal its single-thread value: the
-// packed B^T panel is per calling thread.
-TEST(GemmTest, ConcurrentTransBCallersKeepTheirOwnPanel) {
+// The fused kernels skip a step whose A entry is exactly zero, in every
+// row: a zero meeting an Inf in B adds nothing, a nonzero entry meeting it
+// gives +-Inf, and a NaN entry is never skipped. Identical rows must give
+// identical results wherever they sit, inside a register tile or a 4-row
+// tile or in a tail row: m = 5, 9 and 17 cover a partial tile, a full one
+// plus a row and two plus a row. The raw kernels are called because the
+// numerics guard of MatMul aborts on the Inf under PILOTE_DEBUG_NUMERICS.
+TEST(GemmTest, ZeroTimesNonFiniteIsSkippedInEveryRowOfTheFusedKernels) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int64_t m : {5, 9, 17}) {
+    SCOPED_TRACE("m " + std::to_string(m));
+    const int64_t k = 7;
+    const int64_t n = 20;
+    Rng rng(static_cast<uint64_t>(m + 100));
+    Tensor row = ReluSparse(1, k, rng);
+    row(0, 2) = 0.0f;
+    row(0, 5) = 1.5f;
+    Tensor a(Shape::Matrix(m, k));
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t p = 0; p < k; ++p) a(i, p) = row(0, p);
+    }
+    a(m - 1, 3) = std::numeric_limits<float>::quiet_NaN();
+    Tensor b = Tensor::RandNormal(Shape::Matrix(k, n), rng);
+    b(2, 4) = inf;
+    b(5, 9) = -inf;
+    const Tensor want = FusedReference(a, b, /*trans_a=*/false);
+    ASSERT_FALSE(std::isnan(want(0, 4)));
+    ASSERT_TRUE(std::isinf(want(0, 9)));
+    ASSERT_TRUE(std::isnan(want(m - 1, 0)));
+    Tensor at = Transpose(a);
+    Tensor plain(Shape::Matrix(m, n));
+    Tensor trans_a(Shape::Matrix(m, n));
+    Gemm(a.data(), b.data(), plain.data(), m, k, n);
+    GemmTransA(at.data(), b.data(), trans_a.data(), m, k, n);
+    for (const Tensor& got : {plain, trans_a}) {
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(std::isnan(got(i, j)), std::isnan(want(i, j)))
+              << "(" << i << ", " << j << ")";
+          if (!std::isnan(want(i, j))) {
+            EXPECT_EQ(got(i, j), want(i, j)) << "(" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// Two threads run pool-dispatched MatMulTransB and MatMulTransA calls on
+// different operands and depths at once. Each result must equal its
+// single-thread value: every thread, the callers and the pool workers
+// alike, packs B into a column-strip panel of its own.
+TEST(GemmTest, ConcurrentCallersKeepTheirOwnPanels) {
   Rng rng(8);
   const Tensor a0 = ReluSparse(130, 257, rng);
   const Tensor b0 = Tensor::RandNormal(Shape::Matrix(65, 257), rng);
   const Tensor a1 = ReluSparse(128, 200, rng);
   const Tensor b1 = Tensor::RandNormal(Shape::Matrix(96, 200), rng);
+  const Tensor dy0 = ReluSparse(128, 96, rng);
+  const Tensor x0 = ReluSparse(128, 80, rng);
+  const Tensor dy1 = ReluSparse(64, 160, rng);
+  const Tensor x1 = ReluSparse(64, 130, rng);
   const Tensor want0 = MatMulTransB(a0, b0);
   const Tensor want1 = MatMulTransB(a1, b1);
+  const Tensor want_grad0 = MatMulTransA(dy0, x0);
+  const Tensor want_grad1 = MatMulTransA(dy1, x1);
   bool same0 = true;
   bool same1 = true;
   std::thread t0([&] {
     for (int r = 0; r < 50; ++r) {
       same0 &= BitIdentical(MatMulTransB(a0, b0), want0);
+      same0 &= BitIdentical(MatMulTransA(dy0, x0), want_grad0);
     }
   });
   std::thread t1([&] {
     for (int r = 0; r < 50; ++r) {
+      same1 &= BitIdentical(MatMulTransA(dy1, x1), want_grad1);
       same1 &= BitIdentical(MatMulTransB(a1, b1), want1);
     }
   });
